@@ -7,7 +7,7 @@ use sim_core::cpu::{CostSheet, CycleClass};
 use sim_core::{CoreId, Cpu, EventQueue, SimRng};
 use sim_mem::{CacheCosts, CacheModel, ObjKind};
 use sim_net::{FlowTuple, Packet, TcpFlags};
-use sim_nic::{toeplitz::hash_flow, Nic, NicConfig, QueueId, SteeringMode, RSS_KEY};
+use sim_nic::{Nic, NicConfig, QueueId, SteeringMode, RSS_TABLE};
 use sim_sync::{LockClass, LockCosts, LockTable};
 use std::net::Ipv4Addr;
 use tcp_stack::established::flow_hash;
@@ -24,7 +24,7 @@ fn flow(port: u16) -> FlowTuple {
 fn bench_toeplitz(c: &mut Criterion) {
     let f = flow(40_000);
     c.bench_function("toeplitz_hash_flow", |b| {
-        b.iter(|| hash_flow(black_box(&RSS_KEY), black_box(&f)));
+        b.iter(|| black_box(&RSS_TABLE).hash_flow(black_box(&f)));
     });
     c.bench_function("fnv_flow_hash", |b| b.iter(|| flow_hash(black_box(&f))));
 }

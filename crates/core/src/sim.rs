@@ -23,7 +23,9 @@ use sim_apps::sys::{Sys, Worker, LISTEN_TOKEN};
 use sim_apps::{Proxy, WebServer};
 use sim_check::CheckReport;
 use sim_check::{Chan, Checker, PartitionPolicy, ShardClass, ShardPolicy};
-use sim_core::{cycles_to_secs, usecs_to_cycles, CoreId, CycleClass, Cycles, EventQueue, SimRng};
+use sim_core::{
+    cycles_to_secs, usecs_to_cycles, CoreId, CycleClass, Cycles, EventQueue, SimRng, TimerKey,
+};
 use sim_fault::{FaultKind, RobustnessReport, WindowSample};
 use sim_load::{ArrivalGen, LoadReport, OpenLoopConfig, ScheduleDigest};
 use sim_mem::{CacheModel, CacheStats};
@@ -113,6 +115,15 @@ impl Ev {
             Ev::EdgeTick => "edge_tick",
         }
     }
+}
+
+/// The cancellable timers guarding a client slot's current attempt.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClientTimers {
+    /// The pending `ClientTimeout`.
+    timeout: Option<TimerKey>,
+    /// The pending `ClientNudge` (lossy runs only).
+    nudge: Option<TimerKey>,
 }
 
 /// Spacing of spoofed-SYN bursts during a SYN-flood fault.
@@ -225,7 +236,7 @@ struct LaneEnv {
     router: Option<LaneRouter>,
     /// Cross-lane messages emitted during the current window.
     outbox: Vec<(u16, BoundaryMsg)>,
-    /// Warmup-boundary snapshot taken by `lane_pump`.
+    /// Warmup-boundary snapshot (see `Simulation::take_warmup_snapshot`).
     snap: Option<Snapshot>,
     /// Reusable dispatch batch for `lane_pump`.
     batch: Vec<Ev>,
@@ -297,10 +308,17 @@ pub struct Simulation {
     /// Per-slot idle-hold duration of the session currently running
     /// (long-lived mix); consulted when the hold starts.
     client_hold: Vec<Cycles>,
+    /// Per-slot keys of the timers guarding the current attempt,
+    /// cancelled once the attempt ends or is superseded. Grown as slots
+    /// first arm timers, which keeps it out of `Simulation::new`.
+    client_timers: Vec<ClientTimers>,
     client_by_ip: HashMap<Ipv4Addr, u32>,
     backends: Vec<Backend>,
     backend_by_ip: HashMap<Ipv4Addr, usize>,
     events: EventQueue<Ev>,
+    /// Earliest time at or after warmup of a cancelled event
+    /// (`Cycles::MAX` if none); see `Simulation::take_warmup_snapshot`.
+    warmup_ghost: Cycles,
     peer_rng: SimRng,
     now: Cycles,
     timeouts: u64,
@@ -642,10 +660,12 @@ impl Simulation {
             clients,
             client_attempt: vec![0; n_clients as usize],
             client_hold: vec![0; n_clients as usize],
+            client_timers: Vec::new(),
             client_by_ip,
             backends,
             backend_by_ip,
             events,
+            warmup_ghost: Cycles::MAX,
             peer_rng,
             now: 0,
             timeouts: 0,
@@ -891,9 +911,7 @@ impl Simulation {
                 .destroy_process_socket(port, core);
             debug_assert!(orphans.is_empty(), "no connections exist yet");
         }
-        let warmup = self.cfg.warmup;
-        let end = warmup + self.cfg.measure;
-        let mut snap: Option<Snapshot> = None;
+        let end = self.cfg.warmup + self.cfg.measure;
 
         // Batched dispatch: drain every event sharing the earliest
         // timestamp in one pull (a whole NIC burst, every same-tick
@@ -903,23 +921,20 @@ impl Simulation {
         // to per-event pops.
         let mut batch: Vec<Ev> = Vec::new();
         while let Some(t) = self.events.pop_batch(&mut batch) {
+            self.take_warmup_snapshot(t, end);
             if t >= end {
                 break;
             }
             self.now = t;
             self.ctx.locks.set_epoch(t);
-            if snap.is_none() && t >= warmup {
-                snap = Some(self.snapshot());
-                // Latency histograms and cycle attribution cover only
-                // the measurement window; open spans and in-flight
-                // handshakes carry over.
-                self.tracer.reset_window();
-            }
             for ev in batch.drain(..) {
                 self.dispatch(ev);
             }
         }
-        let snap = snap.unwrap_or_else(|| self.snapshot());
+        let snap = match self.lane.snap.take() {
+            Some(s) => s,
+            None => self.snapshot(self.now),
+        };
         self.tracer.finish(end);
         self.report(snap, end)
     }
@@ -941,7 +956,6 @@ impl Simulation {
     /// (the legacy loop may discard a popped batch at the end of the
     /// run; a lane must not, since its run continues).
     pub(crate) fn lane_pump(&mut self, until: Cycles) {
-        let warmup = self.cfg.warmup;
         let mut batch = std::mem::take(&mut self.lane.batch);
         while let Some(t) = self.events.peek_time() {
             if t >= until {
@@ -951,16 +965,40 @@ impl Simulation {
             debug_assert_eq!(popped, Some(t));
             self.now = t;
             self.ctx.locks.set_epoch(t);
-            if self.lane.snap.is_none() && t >= warmup {
-                let snap = self.snapshot();
-                self.lane.snap = Some(snap);
-                self.tracer.reset_window();
-            }
+            self.take_warmup_snapshot(t, until);
             for ev in batch.drain(..) {
                 self.dispatch(ev);
             }
         }
+        // A cancelled event may have been the window's first at or after
+        // warmup.
+        self.take_warmup_snapshot(until, until);
         self.lane.batch = batch;
+    }
+
+    /// Takes the warmup snapshot, if it falls due before `limit`, as the
+    /// clock reaches `t`. It is due at the first event at or after
+    /// warmup, counting cancelled events: left queued, they would have
+    /// been dispatched as no-ops, so cancelling one never moves the
+    /// measurement window.
+    fn take_warmup_snapshot(&mut self, t: Cycles, limit: Cycles) {
+        let at = t.min(self.warmup_ghost);
+        if self.lane.snap.is_none() && at >= self.cfg.warmup && at < limit {
+            let snap = self.snapshot(at);
+            self.lane.snap = Some(snap);
+            // Latency histograms and cycle attribution cover only the
+            // measurement window; open spans and in-flight handshakes
+            // carry over.
+            self.tracer.reset_window();
+        }
+    }
+
+    /// Withdraws a queued event whose handler would find nothing to do,
+    /// remembering one due at or after warmup for the warmup snapshot.
+    fn cancel(&mut self, key: TimerKey) {
+        if self.events.cancel(key) && key.time() >= self.cfg.warmup {
+            self.warmup_ghost = self.warmup_ghost.min(key.time());
+        }
     }
 
     /// Moves this window's cross-lane messages into per-destination
@@ -1002,7 +1040,7 @@ impl Simulation {
         }
         let snap = match self.lane.snap.take() {
             Some(s) => s,
-            None => self.snapshot(),
+            None => self.snapshot(self.now),
         };
         self.tracer.finish(end);
         let window = end.saturating_sub(snap.at).max(1);
@@ -1175,14 +1213,7 @@ impl Simulation {
                 self.events.push(at, Ev::ToServer(syn));
             }
         }
-        self.events
-            .push(self.now + timeout, Ev::ClientTimeout(slot, attempt));
-        if self.cfg.loss > 0.0 || self.cfg.faults.has_loss_burst() {
-            self.events.push(
-                self.now + self.nudge_interval(),
-                Ev::ClientNudge(slot, attempt),
-            );
-        }
+        self.arm_client_timers(slot, attempt, timeout);
     }
 
     /// Returns an open-loop client slot to the pool, first serving the
@@ -1232,10 +1263,18 @@ impl Simulation {
     }
 
     fn arm_rtos(&mut self) {
+        // Expiries still queued for freed sockets would find no socket
+        // (or a reincarnation of its slot with another generation).
+        for key in self.stack.socks.take_dead_rto_keys() {
+            self.cancel(key);
+        }
         // Each arm carries its own delay: retransmission timers back
         // off exponentially with the attempt count.
         for (sock, gen, delay) in self.stack.take_rto_arms() {
-            self.events.push(self.now + delay, Ev::Rto(sock, gen));
+            let key = self.events.push(self.now + delay, Ev::Rto(sock, gen));
+            if !self.stack.socks.track_rto(sock, gen, key, self.now) {
+                self.cancel(key);
+            }
         }
     }
 
@@ -1518,10 +1557,11 @@ impl Simulation {
             self.send_to_server(self.now + half_rtt, r);
         }
         if self.clients[slot as usize].take_hold_started() {
-            // The slot parked instead of closing: invalidate the
-            // pending connect-timeout/nudge (the hold may far exceed
+            // The slot parked instead of closing: invalidate and cancel
+            // the pending connect-timeout/nudge (the hold may far exceed
             // them) and schedule the FIN for the end of the hold.
             self.client_attempt[slot as usize] += 1;
+            self.cancel_client_timers(slot);
             let attempt = self.client_attempt[slot as usize];
             self.events.push(
                 self.now + self.client_hold[slot as usize],
@@ -1529,6 +1569,7 @@ impl Simulation {
             );
         }
         if done {
+            self.cancel_client_timers(slot);
             if self.open.is_some() {
                 if let Some(o) = &mut self.open {
                     o.completed_sessions += 1;
@@ -1550,15 +1591,47 @@ impl Simulation {
         self.client_attempt[slot as usize] += 1;
         let attempt = self.client_attempt[slot as usize];
         self.send_to_server(self.now + self.cfg.rtt / 2, syn);
-        self.events.push(
-            self.now + self.cfg.client_timeout,
-            Ev::ClientTimeout(slot, attempt),
-        );
+        self.arm_client_timers(slot, attempt, self.cfg.client_timeout);
+    }
+
+    /// Arms the timers guarding `slot`'s new attempt: the connect
+    /// timeout, plus the loss-recovery nudge when packets can be lost.
+    /// Whatever the previous attempt left queued is cancelled first.
+    fn arm_client_timers(&mut self, slot: u32, attempt: u64, timeout: Cycles) {
+        self.cancel_client_timers(slot);
+        let mut timers = ClientTimers {
+            timeout: Some(
+                self.events
+                    .push(self.now + timeout, Ev::ClientTimeout(slot, attempt)),
+            ),
+            nudge: None,
+        };
         if self.cfg.loss > 0.0 || self.cfg.faults.has_loss_burst() {
-            self.events.push(
+            timers.nudge = Some(self.events.push(
                 self.now + self.nudge_interval(),
                 Ev::ClientNudge(slot, attempt),
-            );
+            ));
+        }
+        let i = slot as usize;
+        if self.client_timers.len() <= i {
+            self.client_timers.resize(i + 1, ClientTimers::default());
+        }
+        self.client_timers[i] = timers;
+    }
+
+    /// Cancels the timers guarding `slot`'s attempt once it completes,
+    /// parks in a hold or is superseded: their handlers' attempt checks
+    /// would discard them anyway.
+    fn cancel_client_timers(&mut self, slot: u32) {
+        let Some(timers) = self
+            .client_timers
+            .get_mut(slot as usize)
+            .map(std::mem::take)
+        else {
+            return;
+        };
+        for key in [timers.timeout, timers.nudge].into_iter().flatten() {
+            self.cancel(key);
         }
     }
 
@@ -1576,10 +1649,10 @@ impl Simulation {
         for pkt in out {
             self.send_to_server(self.now + self.cfg.rtt / 2, pkt);
         }
-        self.events.push(
+        self.client_timers[slot as usize].nudge = Some(self.events.push(
             self.now + self.nudge_interval(),
             Ev::ClientNudge(slot, attempt),
-        );
+        ));
     }
 
     /// The idle hold of a long-lived session ends: the client sends its
@@ -1598,8 +1671,10 @@ impl Simulation {
                 .open
                 .as_ref()
                 .map_or(self.cfg.client_timeout, |o| o.cfg.connect_timeout);
-            self.events
-                .push(self.now + timeout, Ev::ClientTimeout(slot, attempt));
+            self.client_timers[slot as usize].timeout = Some(
+                self.events
+                    .push(self.now + timeout, Ev::ClientTimeout(slot, attempt)),
+            );
         }
     }
 
@@ -1764,7 +1839,7 @@ impl Simulation {
     // Measurement
     // ------------------------------------------------------------------
 
-    fn snapshot(&mut self) -> Snapshot {
+    fn snapshot(&mut self, at: Cycles) -> Snapshot {
         self.ctx.locks.reset_stats();
         self.ctx.cache.reset_stats();
         self.stack.reset_stats();
@@ -1778,7 +1853,7 @@ impl Simulation {
             }
         }
         Snapshot {
-            at: self.now,
+            at,
             busy,
             class,
             completed: self.clients.iter().map(|c| c.completed).sum(),

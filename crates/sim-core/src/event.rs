@@ -6,6 +6,13 @@
 //! sequence number), which makes every run bit-for-bit reproducible for a
 //! given seed.
 //!
+//! Every push returns a [`TimerKey`]; [`EventQueue::cancel`] withdraws a
+//! still-pending event so it is never dispatched. Cancelling consumes no
+//! sequence number, so the remaining events keep exactly the order they
+//! had. A cancelled heap entry is reclaimed (its payload at once, its
+//! key by a sweep once dead keys outnumber live ones), so pending
+//! storage tracks live timers rather than every timer ever armed.
+//!
 //! Two interchangeable backends implement that contract:
 //!
 //! * [`SchedulerKind::Wheel`] (the default) — a hashed timing wheel for the
@@ -14,12 +21,13 @@
 //!   and client timeouts. Near events (packets, softirqs, process wakes)
 //!   land in O(1) wheel slots instead of paying an O(log n) sift past the
 //!   tens of thousands of pending far-future timers.
-//! * [`SchedulerKind::Heap`] — the original global `BinaryHeap`, kept as
-//!   the differential-testing and benchmarking baseline.
+//! * [`SchedulerKind::Heap`] — one slab-backed binary heap for every
+//!   event, kept as the differential-testing and benchmarking baseline.
 //!
-//! Both backends produce bit-identical pop orders; the differential
-//! proptest in `tests/prop_event_diff.rs` drives them with identical
-//! push/pop schedules and asserts exactly that.
+//! Both backends produce bit-identical pop orders and agree on which
+//! cancels withdraw an event; the differential proptest in
+//! `tests/prop_event_diff.rs` drives them with identical
+//! push/pop/cancel schedules and asserts exactly that.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -64,6 +72,28 @@ const OCC_WORDS: usize = WHEEL_SLOTS / 64;
 /// multiple rotations.
 pub const WHEEL_SPAN_CYCLES: Cycles = (WHEEL_SLOTS as u64) << SLOT_BITS;
 
+/// `TimerKey::idx` of an event pushed onto the wheel's near tier.
+const NEAR: u32 = u32::MAX;
+
+/// Names one pushed event so it can be [cancelled](EventQueue::cancel).
+///
+/// A key never goes stale: cancelling an event that was already popped
+/// or cancelled is a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerKey {
+    time: Cycles,
+    seq: u64,
+    /// Slab index while the event sits in a heap, or `NEAR`.
+    idx: u32,
+}
+
+impl TimerKey {
+    /// The time the event was scheduled for.
+    pub fn time(self) -> Cycles {
+        self.time
+    }
+}
+
 /// An event queue ordered by `(time, insertion order)`: equal-time
 /// events dispatch in the order they were scheduled.
 ///
@@ -74,11 +104,12 @@ pub const WHEEL_SPAN_CYCLES: Cycles = (WHEEL_SLOTS as u64) << SLOT_BITS;
 /// let mut q = EventQueue::new();
 /// q.push(20, 'b');
 /// q.push(10, 'a');
-/// q.push(20, 'c');
+/// let c = q.push(20, 'c');
+/// assert!(q.cancel(c));
 /// assert_eq!(q.pop(), Some((10, 'a')));
 /// assert_eq!(q.pop(), Some((20, 'b')));
-/// assert_eq!(q.pop(), Some((20, 'c')));
 /// assert_eq!(q.pop(), None);
+/// assert_eq!(q.delivered(), 2);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -90,7 +121,7 @@ pub struct EventQueue<E> {
 
 #[derive(Debug)]
 enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
+    Heap(TimerHeap<E>),
     Wheel(Box<Wheel<E>>),
 }
 
@@ -101,55 +132,130 @@ struct Entry<E> {
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
-        // pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Far-tier heap key: the event payload lives in a slab so sift
-/// operations move 20-byte keys, not whole events.
+/// Heap key: the event payload lives in a slab so sift operations move
+/// 20-byte keys, not whole events.
 #[derive(Debug)]
-struct FarKey {
+struct HeapKey {
     time: Cycles,
     seq: u64,
     idx: u32,
 }
 
-impl PartialEq for FarKey {
+impl PartialEq for HeapKey {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl Eq for FarKey {}
-impl PartialOrd for FarKey {
+impl Eq for HeapKey {}
+impl PartialOrd for HeapKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for FarKey {
+impl Ord for HeapKey {
     fn cmp(&self, other: &Self) -> Ordering {
         // Inverted: earliest (time, seq) on top of the max-heap.
         other
             .time
             .cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// A binary heap of [`HeapKey`]s over a slab of `(seq, payload)` pairs,
+/// with O(1) cancellation.
+///
+/// Cancelling frees the payload's slab slot at once and leaves its key
+/// behind as a tombstone, recognized because the slot no longer holds
+/// the key's sequence number. Tombstones are swept in one O(n) pass once
+/// they outnumber live keys, so the key heap stays within twice the live
+/// count and the slab within the peak live count.
+#[derive(Debug)]
+struct TimerHeap<E> {
+    keys: BinaryHeap<HeapKey>,
+    /// Payload slab; `None` entries are free.
+    slab: Vec<Option<(u64, E)>>,
+    /// Free-list of slab indices, recycled to kill per-push allocation.
+    free: Vec<u32>,
+    /// Tombstones still in `keys`.
+    dead: usize,
+}
+
+impl<E> TimerHeap<E> {
+    fn new(cap: usize) -> Self {
+        TimerHeap {
+            keys: BinaryHeap::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            free: Vec::new(),
+            dead: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len() - self.dead
+    }
+
+    fn is_live(slab: &[Option<(u64, E)>], idx: u32, seq: u64) -> bool {
+        matches!(slab.get(idx as usize), Some(Some((s, _))) if *s == seq)
+    }
+
+    /// Stores `event` and returns its slab index.
+    fn push(&mut self, time: Cycles, seq: u64, event: E) -> u32 {
+        let idx = if let Some(i) = self.free.pop() {
+            self.slab[i as usize] = Some((seq, event));
+            i
+        } else {
+            let i = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NEAR)
+                .expect("timer slab exceeds u32 range");
+            self.slab.push(Some((seq, event)));
+            i
+        };
+        self.keys.push(HeapKey { time, seq, idx });
+        idx
+    }
+
+    /// Time of the earliest live entry, dropping tombstones off the top.
+    fn peek_time(&mut self) -> Option<Cycles> {
+        while let Some(k) = self.keys.peek() {
+            if Self::is_live(&self.slab, k.idx, k.seq) {
+                return Some(k.time);
+            }
+            self.keys.pop();
+            self.dead -= 1;
+        }
+        None
+    }
+
+    fn pop(&mut self) -> Option<Entry<E>> {
+        self.peek_time()?;
+        let k = self.keys.pop().expect("peeked key vanished");
+        let (_, event) = self.slab[k.idx as usize]
+            .take()
+            .expect("live slab slot empty");
+        self.free.push(k.idx);
+        Some(Entry {
+            time: k.time,
+            seq: k.seq,
+            event,
+        })
+    }
+
+    /// Withdraws the entry `key` names; `false` if it already left.
+    fn cancel(&mut self, key: TimerKey) -> bool {
+        if !Self::is_live(&self.slab, key.idx, key.seq) {
+            return false;
+        }
+        self.slab[key.idx as usize] = None;
+        self.free.push(key.idx);
+        self.dead += 1;
+        if self.dead > self.len() {
+            let slab = &self.slab;
+            self.keys.retain(|k| Self::is_live(slab, k.idx, k.seq));
+            self.dead = 0;
+        }
+        true
     }
 }
 
@@ -172,12 +278,8 @@ struct Wheel<E> {
     ring: Vec<Vec<Entry<E>>>,
     /// Occupancy bitmap over `ring` (one bit per slot).
     occupied: [u64; OCC_WORDS],
-    /// Far-future tier: small keys in a heap, payloads in the slab.
-    far: BinaryHeap<FarKey>,
-    /// Slab of far-event payloads; `None` entries are free.
-    slab: Vec<Option<E>>,
-    /// Free-list of slab indices, recycled to kill per-push allocation.
-    free: Vec<u32>,
+    /// Far-future tier.
+    far: TimerHeap<E>,
     len: usize,
 }
 
@@ -188,14 +290,13 @@ impl<E> Wheel<E> {
             batch: Vec::new(),
             ring: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; OCC_WORDS],
-            far: BinaryHeap::with_capacity(cap),
-            slab: Vec::with_capacity(cap),
-            free: Vec::new(),
+            far: TimerHeap::new(cap),
             len: 0,
         }
     }
 
-    fn push(&mut self, time: Cycles, seq: u64, event: E) {
+    /// Stores the event and returns its `TimerKey::idx`.
+    fn push(&mut self, time: Cycles, seq: u64, event: E) -> u32 {
         self.len += 1;
         let slot = time >> SLOT_BITS;
         if slot <= self.cur_slot {
@@ -207,21 +308,53 @@ impl<E> Wheel<E> {
                 .batch
                 .partition_point(|e| (e.time, e.seq) > (entry.time, entry.seq));
             self.batch.insert(pos, entry);
+            NEAR
         } else if slot < self.cur_slot + WHEEL_SLOTS as u64 {
             let idx = (slot & WHEEL_MASK) as usize;
             self.ring[idx].push(Entry { time, seq, event });
             self.occupied[idx / 64] |= 1 << (idx % 64);
+            NEAR
         } else {
-            let idx = if let Some(i) = self.free.pop() {
-                self.slab[i as usize] = Some(event);
-                i
-            } else {
-                let i = u32::try_from(self.slab.len()).expect("far slab exceeds u32 range");
-                self.slab.push(Some(event));
-                i
-            };
-            self.far.push(FarKey { time, seq, idx });
+            self.far.push(time, seq, event)
         }
+    }
+
+    /// Withdraws the event `key` names from whichever tier holds it.
+    fn cancel(&mut self, key: TimerKey) -> bool {
+        let slot = key.time >> SLOT_BITS;
+        let found = if key.idx != NEAR && self.far.cancel(key) {
+            true
+        } else if slot <= self.cur_slot {
+            // Pushed into the batch, or moved there from its ring slot or
+            // the far tier when its slot came up; otherwise popped.
+            match self
+                .batch
+                .binary_search_by(|e| (key.time, key.seq).cmp(&(e.time, e.seq)))
+            {
+                Ok(pos) => {
+                    self.batch.remove(pos);
+                    true
+                }
+                Err(_) => false,
+            }
+        } else if key.idx == NEAR {
+            // Still waiting in its (unsorted) ring slot.
+            let idx = (slot & WHEEL_MASK) as usize;
+            let pos = self.ring[idx].iter().position(|e| e.seq == key.seq);
+            if let Some(p) = pos {
+                self.ring[idx].swap_remove(p);
+                if self.ring[idx].is_empty() {
+                    self.occupied[idx / 64] &= !(1 << (idx % 64));
+                }
+            }
+            pos.is_some()
+        } else {
+            false
+        };
+        if found {
+            self.len -= 1;
+        }
+        found
     }
 
     /// First occupied ring slot with absolute index in
@@ -247,7 +380,7 @@ impl<E> Wheel<E> {
     fn advance(&mut self) {
         debug_assert!(self.batch.is_empty());
         let ring_slot = self.next_occupied(self.cur_slot + 1);
-        let far_slot = self.far.peek().map(|k| k.time >> SLOT_BITS);
+        let far_slot = self.far.peek_time().map(|t| t >> SLOT_BITS);
         let target = match (ring_slot, far_slot) {
             (Some(r), Some(f)) => r.min(f),
             (Some(r), None) => r,
@@ -262,20 +395,13 @@ impl<E> Wheel<E> {
         }
         // Drain every far event that belongs to the new current slot so
         // the batch invariant (all pending events of cur_slot) holds.
-        while let Some(k) = self.far.peek() {
-            if k.time >> SLOT_BITS != target {
-                break;
-            }
-            let k = self.far.pop().expect("peeked entry vanished");
-            let event = self.slab[k.idx as usize]
-                .take()
-                .expect("far slab slot empty");
-            self.free.push(k.idx);
-            self.batch.push(Entry {
-                time: k.time,
-                seq: k.seq,
-                event,
-            });
+        while self
+            .far
+            .peek_time()
+            .is_some_and(|t| t >> SLOT_BITS == target)
+        {
+            let e = self.far.pop().expect("peeked entry vanished");
+            self.batch.push(e);
         }
         // Descending order: the minimum (time, seq) sits at the end.
         self.batch
@@ -319,7 +445,7 @@ impl<E> EventQueue<E> {
     pub fn with_scheduler(kind: SchedulerKind, cap: usize) -> Self {
         let backend = match kind {
             SchedulerKind::Wheel => Backend::Wheel(Box::new(Wheel::new(cap))),
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::with_capacity(cap)),
+            SchedulerKind::Heap => Backend::Heap(TimerHeap::new(cap)),
         };
         EventQueue {
             backend,
@@ -343,13 +469,26 @@ impl<E> EventQueue<E> {
         self.trace = Some((tracer, label));
     }
 
-    /// Schedules `event` at absolute time `time`.
-    pub fn push(&mut self, time: Cycles, event: E) {
+    /// Schedules `event` at absolute time `time`; the returned key can
+    /// [cancel](Self::cancel) it.
+    pub fn push(&mut self, time: Cycles, event: E) -> TimerKey {
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Entry { time, seq, event }),
+        let idx = match &mut self.backend {
+            Backend::Heap(heap) => heap.push(time, seq, event),
             Backend::Wheel(wheel) => wheel.push(time, seq, event),
+        };
+        TimerKey { time, seq, idx }
+    }
+
+    /// Withdraws the event `key` names if it is still pending: it is
+    /// never popped nor counted by [`delivered`](Self::delivered).
+    /// Returns whether an event was withdrawn — `false` when it was
+    /// already popped or cancelled.
+    pub fn cancel(&mut self, key: TimerKey) -> bool {
+        match &mut self.backend {
+            Backend::Heap(heap) => heap.cancel(key),
+            Backend::Wheel(wheel) => wheel.cancel(key),
         }
     }
 
@@ -384,7 +523,7 @@ impl<E> EventQueue<E> {
     /// Time of the earliest pending event without removing it.
     pub fn peek_time(&mut self) -> Option<Cycles> {
         match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.time),
+            Backend::Heap(heap) => heap.peek_time(),
             Backend::Wheel(wheel) => wheel.peek_time(),
         }
     }
@@ -423,6 +562,15 @@ mod tests {
             EventQueue::with_scheduler(SchedulerKind::Wheel, 0),
             EventQueue::with_scheduler(SchedulerKind::Heap, 0),
         ]
+    }
+
+    /// Heap keys plus slab slots of the queue's slab-backed heap.
+    fn heap_storage<E>(q: &EventQueue<E>) -> usize {
+        let heap = match &q.backend {
+            Backend::Heap(heap) => heap,
+            Backend::Wheel(wheel) => &wheel.far,
+        };
+        heap.keys.len() + heap.slab.len()
     }
 
     #[test]
@@ -549,6 +697,60 @@ mod tests {
             q.pop();
             assert_eq!(q.delivered(), 1);
             assert_eq!(q.len(), 1);
+        }
+    }
+
+    #[test]
+    fn cancel_withdraws_from_every_tier() {
+        let span = WHEEL_SPAN_CYCLES;
+        for mut q in both() {
+            let batch = q.push(0, 0u32);
+            let ring = q.push(span / 2, 1);
+            let far = q.push(3 * span, 2);
+            let kept = q.push(3 * span, 3);
+            assert!(q.cancel(batch));
+            assert!(q.cancel(ring));
+            assert!(q.cancel(far));
+            assert!(!q.cancel(far), "a second cancel is a no-op");
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop(), Some((3 * span, 3)));
+            assert!(!q.cancel(kept), "a popped event cannot be cancelled");
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.delivered(), 1);
+        }
+    }
+
+    #[test]
+    fn cancel_reaches_far_events_moved_into_the_batch() {
+        let t = 5 * WHEEL_SPAN_CYCLES;
+        for mut q in both() {
+            q.push(t, 0u32);
+            let moved = q.push(t + 1, 1);
+            q.push(t + 2, 2);
+            assert_eq!(q.pop(), Some((t, 0)));
+            assert!(q.cancel(moved));
+            assert_eq!(q.pop(), Some((t + 2, 2)));
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn push_cancel_cycles_do_not_grow_the_far_tier() {
+        let far = 10 * WHEEL_SPAN_CYCLES;
+        for mut q in both() {
+            for i in 0..8u32 {
+                q.push(far + u64::from(i), i);
+            }
+            let live = heap_storage(&q);
+            for i in 0..10_000u64 {
+                let key = q.push(far + 100 + i, 99);
+                assert!(q.cancel(key));
+                // Tombstones never outnumber live keys, and the slab
+                // recycles the cancelled slot.
+                assert!(heap_storage(&q) <= 2 * live + 2, "cycle {i}");
+            }
+            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, (0..8).collect::<Vec<_>>());
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Differential proptest: the timing-wheel scheduler must reproduce the
 //! binary heap's pop order bit-for-bit — including FIFO tie-breaking at
-//! duplicate timestamps — under arbitrary interleaved push/pop schedules.
+//! duplicate timestamps — under arbitrary interleaved push/pop/cancel
+//! schedules, and both must agree on which cancels withdraw an event.
 
 use proptest::prelude::*;
 use sim_core::event::SchedulerKind;
-use sim_core::{Cycles, EventQueue};
+use sim_core::{Cycles, EventQueue, TimerKey};
 
 /// Decodes one raw `(kind, magnitude)` pair into a schedule step.
 ///
@@ -15,40 +16,45 @@ use sim_core::{Cycles, EventQueue};
 ///   after "now", which is why offsets are relative to the last pop.
 /// * `8..=11` — pop one event from both queues.
 /// * `12..=13` — drain one same-timestamp batch from both queues.
+/// * `14..=15` — cancel one earlier push on both queues, picked among
+///   every key so far: near or far, pending, popped or already
+///   cancelled.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     Push(Cycles),
     Pop,
     PopBatch,
+    Cancel(u64),
 }
 
 fn decode(kind: u8, magnitude: u64) -> Step {
-    match kind % 14 {
+    match kind % 16 {
         0 | 1 => Step::Push(0),
         2 | 3 => Step::Push(magnitude % 8),
         4 | 5 => Step::Push(magnitude % 10_000),
         6 => Step::Push(magnitude % 3_000_000),
         7 => Step::Push(magnitude % 600_000_000),
         8..=11 => Step::Pop,
-        _ => Step::PopBatch,
+        12 | 13 => Step::PopBatch,
+        _ => Step::Cancel(magnitude),
     }
 }
 
 proptest! {
     #[test]
     fn wheel_and_heap_pop_identically(
-        raw in collection::vec((0u8..14, 0u64..u64::MAX), 1..400)
+        raw in collection::vec((0u8..16, 0u64..u64::MAX), 1..400)
     ) {
         let mut wheel: EventQueue<u32> = EventQueue::with_scheduler(SchedulerKind::Wheel, 0);
         let mut heap: EventQueue<u32> = EventQueue::with_scheduler(SchedulerKind::Heap, 0);
+        let mut keys: Vec<(TimerKey, TimerKey)> = Vec::new();
         let mut now: Cycles = 0;
         let mut id: u32 = 0;
         let (mut wb, mut hb) = (Vec::new(), Vec::new());
         for (kind, magnitude) in raw {
             match decode(kind, magnitude) {
                 Step::Push(off) => {
-                    wheel.push(now + off, id);
-                    heap.push(now + off, id);
+                    keys.push((wheel.push(now + off, id), heap.push(now + off, id)));
                     id += 1;
                 }
                 Step::Pop => {
@@ -70,8 +76,15 @@ proptest! {
                         now = t;
                     }
                 }
+                Step::Cancel(pick) => {
+                    if !keys.is_empty() {
+                        let (w, h) = keys[(pick % keys.len() as u64) as usize];
+                        prop_assert_eq!(wheel.cancel(w), heap.cancel(h));
+                    }
+                }
             }
             prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(wheel.delivered(), heap.delivered());
         }
         // Drain the rest: the full residual order must match too.
         loop {

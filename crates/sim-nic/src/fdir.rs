@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use sim_net::{FlowTuple, Packet};
 
-use crate::toeplitz::{hash_flow, RSS_KEY};
+use crate::toeplitz::RSS_TABLE;
 
 /// Configuration of Application Target Routing (ATR) mode.
 ///
@@ -119,7 +119,7 @@ impl FlowDirector {
     }
 
     fn slot_and_sig(&self, flow: &FlowTuple) -> (usize, u16) {
-        let h = hash_flow(&RSS_KEY, flow);
+        let h = RSS_TABLE.hash_flow(flow);
         let slot = (h as usize) & (self.atr.table_slots - 1);
         let sig = (h >> 16) as u16;
         (slot, sig)

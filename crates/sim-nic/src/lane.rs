@@ -12,7 +12,7 @@
 
 use sim_net::FlowTuple;
 
-use crate::toeplitz::{hash_flow, RSS_KEY};
+use crate::toeplitz::RSS_TABLE;
 
 /// Deterministic flow → lane dispatcher.
 #[derive(Debug, Clone)]
@@ -39,7 +39,7 @@ impl LaneRouter {
     /// The lane owning `flow`'s server-side state. All packets of one
     /// flow (client→server orientation) map to the same lane.
     pub fn lane_for_flow(&self, flow: &FlowTuple) -> u16 {
-        (hash_flow(&RSS_KEY, flow) % u32::from(self.lanes)) as u16
+        (RSS_TABLE.hash_flow(flow) % u32::from(self.lanes)) as u16
     }
 }
 

@@ -51,4 +51,4 @@ pub use fdir::{AtrConfig, FlowDirector, PerfectFilterConfig};
 pub use lane::LaneRouter;
 pub use nic::{DropFilter, Nic, NicConfig, NicStats, QueueId, SteeringMode};
 pub use rss::RssEngine;
-pub use toeplitz::{toeplitz_hash, RSS_KEY};
+pub use toeplitz::{toeplitz_hash, RSS_KEY, RSS_TABLE};

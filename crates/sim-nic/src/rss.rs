@@ -2,7 +2,7 @@
 
 use sim_net::FlowTuple;
 
-use crate::toeplitz::{hash_flow, RSS_KEY};
+use crate::toeplitz::RSS_TABLE;
 
 /// Number of entries in the 82599's RSS indirection table.
 pub const INDIRECTION_ENTRIES: usize = 128;
@@ -27,7 +27,6 @@ pub const INDIRECTION_ENTRIES: usize = 128;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RssEngine {
-    key: [u8; 40],
     table: [u16; INDIRECTION_ENTRIES],
     queues: u16,
 }
@@ -45,16 +44,12 @@ impl RssEngine {
         for (i, e) in table.iter_mut().enumerate() {
             *e = (i as u16) % queues;
         }
-        RssEngine {
-            key: RSS_KEY,
-            table,
-            queues,
-        }
+        RssEngine { table, queues }
     }
 
-    /// Hash of a flow under this engine's key.
+    /// Hash of a flow under the standard key.
     pub fn hash(&self, flow: &FlowTuple) -> u32 {
-        hash_flow(&self.key, flow)
+        RSS_TABLE.hash_flow(flow)
     }
 
     /// The RX queue the indirection table assigns to `flow`.

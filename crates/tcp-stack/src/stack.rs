@@ -367,7 +367,9 @@ impl TcpStack {
     /// Drains the `(socket, generation, delay)` triples whose
     /// retransmission timer must be (re)armed `delay` cycles from now
     /// (`config.rto`, exponentially backed off per retry). The driver
-    /// schedules the expirations and calls [`TcpStack::on_rto`].
+    /// schedules the expirations and calls [`TcpStack::on_rto`]; it
+    /// hands each expiry's event key to [`SockTable::track_rto`] and
+    /// cancels the keys [`SockTable::take_dead_rto_keys`] returns.
     pub fn take_rto_arms(&mut self) -> Vec<(SockId, u64, Cycles)> {
         std::mem::take(&mut self.pending_rto)
     }

@@ -1,7 +1,7 @@
 //! TCP control blocks (sockets) and their registry.
 
 use serde::{Deserialize, Serialize};
-use sim_core::CoreId;
+use sim_core::{CoreId, Cycles, TimerKey};
 use sim_mem::{ObjId, ObjKind};
 use sim_net::FlowTuple;
 use sim_os::epoll::EpollId;
@@ -107,6 +107,11 @@ pub struct Tcb {
 #[derive(Debug, Default)]
 pub struct SockTable {
     socks: Vec<Option<Tcb>>,
+    /// Per-slot event keys of the slot's queued RTO expiries. Kept
+    /// across slot reuse so each vector's capacity is recycled too.
+    rto_keys: Vec<Vec<TimerKey>>,
+    /// Keys of queued RTO expiries whose sockets were freed.
+    dead_rto_keys: Vec<TimerKey>,
     free: Vec<u32>,
     live: u32,
     next_gen: u64,
@@ -176,6 +181,7 @@ impl SockTable {
         } else {
             let idx = self.socks.len() as u32;
             self.socks.push(Some(tcb));
+            self.rto_keys.push(Vec::new());
             SockId(idx)
         };
         self.get_mut(id).id = id;
@@ -183,7 +189,9 @@ impl SockTable {
     }
 
     /// Frees a TCB, destroying its lock and cache objects. The caller
-    /// must have already torn down VFS state and timers.
+    /// must have already torn down VFS state and timers. The keys of
+    /// its queued RTO expiries move to
+    /// [`take_dead_rto_keys`](Self::take_dead_rto_keys).
     pub fn release(&mut self, ctx: &mut KernelCtx, id: SockId) {
         let tcb = self.socks[id.0 as usize]
             .take()
@@ -194,7 +202,30 @@ impl SockTable {
         ctx.cache.free(tcb.obj);
         ctx.cache.free(tcb.buf_obj);
         self.free.push(id.0);
+        self.dead_rto_keys.append(&mut self.rto_keys[id.0 as usize]);
         self.live -= 1;
+    }
+
+    /// Records `key` as the queued expiry of an RTO the stack armed for
+    /// socket `id` at generation `gen`, forgetting keys of expiries due
+    /// before `now` (already dispatched). Returns `false` when that
+    /// socket is gone: the expiry can only find nothing to do, so the
+    /// caller should cancel it.
+    pub fn track_rto(&mut self, id: SockId, gen: u64, key: TimerKey, now: Cycles) -> bool {
+        let i = id.0 as usize;
+        if !matches!(self.socks.get(i), Some(Some(t)) if t.gen == gen) {
+            return false;
+        }
+        let keys = &mut self.rto_keys[i];
+        keys.retain(|k| k.time() >= now);
+        keys.push(key);
+        true
+    }
+
+    /// Drains the keys of RTO expiries still queued for sockets freed
+    /// since the last call; the driver cancels them.
+    pub fn take_dead_rto_keys(&mut self) -> Vec<TimerKey> {
+        std::mem::take(&mut self.dead_rto_keys)
     }
 
     /// Returns the TCB behind `id`.
@@ -285,6 +316,24 @@ mod tests {
         let b = t.alloc(&mut c, flow(), TcpState::SynSent, true, CoreId(1));
         assert_eq!(a.0, b.0, "slot reused");
         assert!(t.exists(b));
+    }
+
+    #[test]
+    fn release_hands_back_queued_rto_keys() {
+        let mut c = ctx();
+        let mut t = SockTable::new();
+        let mut q = sim_core::EventQueue::new();
+        let a = t.alloc(&mut c, flow(), TcpState::Established, true, CoreId(0));
+        let gen = t.get(a).gen;
+        let fired = q.push(10, ());
+        let queued = q.push(50, ());
+        assert!(t.track_rto(a, gen, fired, 0));
+        assert!(t.track_rto(a, gen, queued, 20));
+        assert!(!t.track_rto(a, gen + 1, queued, 20), "stale generation");
+        t.release(&mut c, a);
+        assert_eq!(t.take_dead_rto_keys(), vec![queued], "fired key forgotten");
+        assert!(t.take_dead_rto_keys().is_empty());
+        assert!(!t.track_rto(a, gen, queued, 20), "freed socket");
     }
 
     #[test]
