@@ -1,6 +1,6 @@
 //! Parallel lane-sharding speedup: wall-clock of the threaded executor
-//! vs the serial legacy engine on the Figure 4(a) 24-core Fastsocket
-//! profile, across a lane-count sweep.
+//! vs the 1-lane run (a plain `Simulation::run`) on the Figure 4(a)
+//! 24-core Fastsocket profile, across a lane-count sweep.
 //!
 //! Correctness rides along with the timing: at every lane count the
 //! serial-windowed and threaded executors must produce bit-identical
@@ -31,7 +31,7 @@ const LANE_SWEEP: [u16; 6] = [1, 2, 4, 8, 12, 24];
 /// One measured lane count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct LanePoint {
-    /// Requested lane count (1 = legacy serial engine).
+    /// Requested lane count (1 = the plain 1-lane run).
     lanes: u16,
     /// Lane count the engine actually ran with.
     effective_lanes: u16,
@@ -39,7 +39,7 @@ struct LanePoint {
     serial_wall_secs: f64,
     /// Wall-clock seconds, one host thread per lane.
     threaded_wall_secs: f64,
-    /// Legacy-baseline wall over threaded wall.
+    /// 1-lane baseline wall over threaded wall.
     speedup: f64,
     /// `results_digest()` — identical across both executors.
     results_digest: String,
@@ -58,7 +58,7 @@ struct ParBenchReport {
     /// any observable speedup.
     host_cores: usize,
     seed: u64,
-    /// Wall-clock of the legacy (non-windowed) serial engine.
+    /// Wall-clock of the 1-lane run (no `par` block).
     baseline_wall_secs: f64,
     points: Vec<LanePoint>,
 }
@@ -117,14 +117,14 @@ fn sweep(cores: u16, measure_secs: f64, check: bool, seed_note: &str) -> ParBenc
         host_cores()
     );
 
-    // Legacy engine (no par block at all) is the speedup denominator.
+    // The 1-lane run (no par block at all) is the speedup denominator.
     let t0 = Instant::now();
-    let legacy = run_sharded(base.clone());
+    let one_lane = run_sharded(base.clone());
     let baseline_wall = t0.elapsed().as_secs_f64();
     eprintln!(
-        "  legacy serial engine: {:.2}s wall, {} cps",
+        "  1-lane run: {:.2}s wall, {} cps",
         baseline_wall,
-        kcps(legacy.throughput_cps)
+        kcps(one_lane.throughput_cps)
     );
 
     let mut points = Vec::new();

@@ -185,7 +185,7 @@ pub struct SimConfig {
     pub data_plane: Option<DataPlaneConfig>,
     /// Parallel lane-sharded execution (`run_sharded`): partition the
     /// simulated machine into per-lane event loops synchronized at the
-    /// NIC boundary. `None` (the default) keeps the serial engine.
+    /// NIC boundary. `None` (the default) runs the machine as one lane.
     /// Lane *count* forks result provenance (it changes the client→lane
     /// decomposition); the executor (`threads`) and `horizon` do not —
     /// the digest canonicalizes them away, which is exactly the
@@ -213,7 +213,7 @@ pub struct SimConfig {
 pub struct ParConfig {
     /// Requested lane count. The engine uses the largest divisor of
     /// `cores` that is ≤ this (each lane owns an equal block of cores);
-    /// an effective count of 1 falls back to the serial legacy engine.
+    /// an effective count of 1 is a plain [`Simulation::run`](crate::Simulation::run).
     pub lanes: u16,
     /// Run lanes on host threads (`true`) or pump them serially on the
     /// calling thread (`false`). Result-identical by construction;

@@ -19,10 +19,14 @@
 //!
 //! Kernels whose tables are shared across all cores (stock Linux, and
 //! `SO_REUSEPORT` without local established tables) have no NIC-only
-//! interaction boundary to cut along, so [`effective_lanes`] sends them
-//! to the serial engine — the per-kernel `ShardPolicy` is the
-//! certification of exactly this property: only the full Fastsocket
-//! partition promises core-local state.
+//! interaction boundary to cut along, so [`effective_lanes`] runs them
+//! as one lane — the per-kernel `ShardPolicy` is the certification of
+//! exactly this property: only the full Fastsocket partition promises
+//! core-local state.
+//!
+//! One lane is the ordinary [`Simulation::run`]: the same windowed
+//! pump with a single window, folded into its report by the same
+//! [`merge_outcomes`] that folds a sharded machine's lanes.
 
 use sim_core::{
     cycles_to_secs, run_lanes_serial, run_lanes_threads, usecs_to_cycles, CycleClass, Cycles,
@@ -54,8 +58,8 @@ impl LaneSim for Simulation {
 }
 
 /// The lane count `cfg` actually runs with: the largest divisor of
-/// `cfg.cores` not exceeding the requested lane count — or 1 (serial
-/// legacy engine) when the configuration cannot be partitioned:
+/// `cfg.cores` not exceeding the requested lane count — or 1 when the
+/// configuration cannot be partitioned:
 ///
 /// * no `par` block, or fewer than 2 effective lanes;
 /// * a kernel without the full Fastsocket partition (shared listen or
@@ -99,8 +103,8 @@ pub fn effective_lanes(cfg: &SimConfig) -> u16 {
 
 /// Runs `cfg` on the lane-sharded engine and merges the per-lane
 /// outcomes into one machine-wide [`RunReport`]. Configurations that
-/// [`effective_lanes`] resolves to a single lane run on the serial
-/// legacy engine instead (same function, so callers need not care).
+/// [`effective_lanes`] resolves to a single lane are a plain
+/// [`Simulation::run`], which is the same pump and fold on one lane.
 ///
 /// The report is bit-identical between the serial and threaded
 /// executors: lanes are deterministic given `(seed, lane)`, the window
@@ -196,7 +200,7 @@ mod tests {
         assert_eq!(a.results_digest(), b.results_digest());
     }
 
-    /// An armed edge tier forces the serial engine: backend health and
+    /// An armed edge tier forces a single lane: backend health and
     /// failover retries are shared state no lane partition can own.
     #[test]
     fn edge_tier_forces_serial_execution() {
@@ -207,23 +211,29 @@ mod tests {
         assert_eq!(
             effective_lanes(&edged),
             1,
-            "edge fault domains must run on the serial engine"
+            "edge fault domains must run on one lane"
         );
     }
 }
 
 /// Folds per-lane outcomes (in lane-index order) into the machine-wide
-/// report. Core-indexed data concatenates (lane `l` owns cores
-/// `[l*k, (l+1)*k)`); counters sum; sanitizer diagnostics remap their
-/// core ids by the lane's offset.
-fn merge_outcomes(
+/// report — the one place a [`RunReport`] is built. Core-indexed data
+/// concatenates (lane `l` owns cores `[l*k, (l+1)*k)`); counters sum;
+/// sanitizer diagnostics remap their core ids by the lane's offset. The
+/// measurement window opens at the earliest lane's warmup snapshot.
+pub(crate) fn merge_outcomes(
     cfg: &SimConfig,
     lanes: u16,
     outcomes: Vec<LaneOutcome>,
     end: Cycles,
 ) -> RunReport {
     let k = cfg.cores / lanes;
-    let secs = cycles_to_secs(end.saturating_sub(cfg.warmup).max(1));
+    let start = outcomes
+        .iter()
+        .map(|o| o.window_start)
+        .min()
+        .expect("a run has at least one lane");
+    let secs = cycles_to_secs(end.saturating_sub(start).max(1));
 
     let mut completed = 0u64;
     let mut responses = 0u64;
@@ -240,8 +250,13 @@ fn merge_outcomes(
     let mut stack = StackStats::default();
     let mut hists = None;
     let mut checks = None;
-    let mut load_acc: Option<(LoadReport, ScheduleDigest)> = None;
+    let mut load: Option<LoadReport> = None;
+    let mut lane_digests = ScheduleDigest::new();
     let mut mem_acc: Option<sim_res::MemReport> = None;
+    // Fault schedules and the edge tier run on one lane only
+    // (`effective_lanes`), so their reports pass through.
+    let mut robustness = None;
+    let mut edge = None;
 
     for (l, o) in outcomes.into_iter().enumerate() {
         completed += o.completed;
@@ -283,33 +298,30 @@ fn merge_outcomes(
                 Some(acc) => acc.merge(&c, offset),
             }
         }
+        robustness = robustness.or(o.robustness);
+        edge = edge.or(o.edge);
         if let Some(ll) = o.load {
-            let (acc, digest) = load_acc.get_or_insert_with(|| {
-                (
-                    LoadReport {
-                        offered: 0,
-                        admitted: 0,
-                        queued_admissions: 0,
-                        abandoned_wait: 0,
-                        abandoned_connect: 0,
-                        completed_sessions: 0,
-                        peak_backlog: 0,
-                        offered_cps: 0.0,
-                        schedule_digest: String::new(),
-                    },
-                    ScheduleDigest::new(),
-                )
-            });
-            acc.offered += ll.offered;
-            acc.admitted += ll.admitted;
-            acc.queued_admissions += ll.queued_admissions;
-            acc.abandoned_wait += ll.abandoned_wait;
-            acc.abandoned_connect += ll.abandoned_connect;
-            acc.completed_sessions += ll.completed_sessions;
-            // Lanes queue independently, so the machine-wide peak is
-            // bounded by (and reported as) the sum of per-lane peaks.
-            acc.peak_backlog += ll.peak_backlog;
-            digest.push(ll.digest);
+            // A lone lane keeps its own schedule digest; a sharded
+            // machine's hashes its lanes' digests in lane order.
+            let digest = u64::from_str_radix(&ll.schedule_digest, 16);
+            lane_digests.push(digest.expect("schedule digests are hex"));
+            match &mut load {
+                None => load = Some(ll),
+                Some(acc) => {
+                    acc.offered += ll.offered;
+                    acc.admitted += ll.admitted;
+                    acc.queued_admissions += ll.queued_admissions;
+                    acc.abandoned_wait += ll.abandoned_wait;
+                    acc.abandoned_connect += ll.abandoned_connect;
+                    acc.completed_sessions += ll.completed_sessions;
+                    // Lanes queue independently, so the machine-wide
+                    // peak is bounded by (and reported as) the sum of
+                    // per-lane peaks.
+                    acc.peak_backlog += ll.peak_backlog;
+                    acc.offered_cps = acc.offered as f64 / cycles_to_secs(end);
+                    acc.schedule_digest = lane_digests.hex();
+                }
+            }
         }
         if let Some(m) = o.mem {
             // Budgets and peaks re-add across the lane shares;
@@ -334,12 +346,6 @@ fn merge_outcomes(
             (cl.name().to_string(), share)
         })
         .collect();
-
-    let load = load_acc.map(|(mut acc, digest)| {
-        acc.offered_cps = acc.offered as f64 / cycles_to_secs(end);
-        acc.schedule_digest = digest.hex();
-        acc
-    });
 
     let bulk = cfg.data_plane.map(|dp| BulkReport {
         cc: dp.cc.name().to_string(),
@@ -366,7 +372,7 @@ fn merge_outcomes(
         config_hash: cfg.config_digest(),
         latency,
         checks,
-        robustness: None,
+        robustness,
         measure_secs: secs,
         throughput_cps: completed as f64 / secs,
         requests_per_sec: responses as f64 / secs,
@@ -385,9 +391,7 @@ fn merge_outcomes(
         live_sockets,
         load,
         bulk,
-        // Lanes never run with the edge tier armed (`effective_lanes`
-        // forces such configurations serial), so nothing to merge.
-        edge: None,
+        edge,
         mem: mem_acc,
     }
 }

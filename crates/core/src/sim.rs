@@ -30,7 +30,7 @@ use sim_fault::{FaultKind, RobustnessReport, WindowSample};
 use sim_load::{ArrivalGen, LoadReport, OpenLoopConfig, ScheduleDigest};
 use sim_mem::{CacheModel, CacheStats};
 use sim_net::{FlowTuple, Packet, TcpFlags};
-use sim_nic::{LaneRouter, Nic, NicConfig, QueueId, SteeringMode};
+use sim_nic::{LaneRouter, Nic, NicConfig, QueueId};
 use sim_os::epoll::EpollId;
 use sim_os::process::{Pid, ProcessTable};
 use sim_os::softirq::SoftirqQueues;
@@ -43,7 +43,7 @@ use tcp_stack::StackStats;
 use tcp_stack::{EstVariant, ListenVariant, SockId};
 
 use crate::config::{AppSpec, SimConfig};
-use crate::report::{lock_reports, BulkReport, EdgeReport, RunReport};
+use crate::report::{EdgeReport, RunReport};
 
 /// The server's IP address.
 pub const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -217,10 +217,8 @@ pub enum BoundaryMsg {
     },
 }
 
-/// Which lane of the sharded machine this `Simulation` instance is —
-/// the legacy serial engine is simply the single lane of a 1-lane
-/// machine with no router, which keeps every legacy code path (and its
-/// golden digests) byte-identical.
+/// Which lane of the sharded machine this `Simulation` instance is. A
+/// plain [`Simulation::new`] is lane 0 of a 1-lane machine.
 #[derive(Debug)]
 struct LaneEnv {
     /// This lane's index.
@@ -228,12 +226,11 @@ struct LaneEnv {
     /// Total lanes in the sharded machine.
     lanes: u16,
     /// Global client-slot count across all lanes (jitter arithmetic
-    /// must use global values so a 1-lane machine matches legacy).
+    /// runs on global values, so a lane's slots start when they would
+    /// on the whole machine).
     total_slots: u64,
-    /// Local slot index → global slot id.
-    slot_global: Vec<u32>,
-    /// Cross-lane flow dispatcher; `None` on the legacy engine.
-    router: Option<LaneRouter>,
+    /// Cross-lane flow dispatcher.
+    router: LaneRouter,
     /// Cross-lane messages emitted during the current window.
     outbox: Vec<(u16, BoundaryMsg)>,
     /// Warmup-boundary snapshot (see `Simulation::take_warmup_snapshot`).
@@ -243,17 +240,24 @@ struct LaneEnv {
 }
 
 impl LaneEnv {
-    fn legacy(n_clients: u32) -> LaneEnv {
+    /// Lane `id` of `lanes` equal core blocks of a `cores`-core machine
+    /// serving `total_slots` client slots.
+    fn new(id: u16, lanes: u16, cores: u16, total_slots: u32) -> LaneEnv {
         LaneEnv {
-            id: 0,
-            lanes: 1,
-            total_slots: u64::from(n_clients),
-            slot_global: (0..n_clients).collect(),
-            router: None,
+            id,
+            lanes,
+            total_slots: u64::from(total_slots),
+            router: LaneRouter::new(cores, lanes),
             outbox: Vec::new(),
             snap: None,
             batch: Vec::new(),
         }
+    }
+
+    /// Global id of local client slot `local`: a lane owns the global
+    /// ids `≡ id (mod lanes)`, which keeps client IPs machine-unique.
+    fn global_slot(&self, local: u32) -> u32 {
+        u32::from(self.id) + local * u32::from(self.lanes)
     }
 }
 
@@ -261,6 +265,8 @@ impl LaneEnv {
 /// finishes — the raw ingredients of [`RunReport`], kept as plain data
 /// so it can cross a thread boundary (`Simulation` itself cannot).
 pub(crate) struct LaneOutcome {
+    /// When this lane's measurement window opened (its warmup snapshot).
+    pub(crate) window_start: Cycles,
     pub(crate) completed: u64,
     pub(crate) responses: u64,
     pub(crate) resets: u64,
@@ -273,23 +279,13 @@ pub(crate) struct LaneOutcome {
     pub(crate) stack: StackStats,
     pub(crate) hists: Option<[LatencyHistogram; 3]>,
     pub(crate) checks: Option<CheckReport>,
-    pub(crate) load: Option<LaneLoad>,
+    pub(crate) robustness: Option<RobustnessReport>,
+    pub(crate) load: Option<LoadReport>,
     pub(crate) payload_bytes: u64,
+    pub(crate) edge: Option<EdgeReport>,
     pub(crate) events: u64,
     pub(crate) live_sockets: u32,
     pub(crate) mem: Option<sim_res::MemReport>,
-}
-
-/// Per-lane open-loop accounting carried by [`LaneOutcome`].
-pub(crate) struct LaneLoad {
-    pub(crate) offered: u64,
-    pub(crate) admitted: u64,
-    pub(crate) queued_admissions: u64,
-    pub(crate) abandoned_wait: u64,
-    pub(crate) abandoned_connect: u64,
-    pub(crate) completed_sessions: u64,
-    pub(crate) peak_backlog: u64,
-    pub(crate) digest: u64,
 }
 
 /// One configured simulation, ready to [`run`](Simulation::run).
@@ -339,8 +335,7 @@ pub struct Simulation {
     sample_cursor: SampleCursor,
     /// Open-loop workload engine (`None` = closed loop).
     open: Option<OpenLoop>,
-    /// Lane identity within a sharded machine (legacy: the 1-lane
-    /// identity, which leaves every code path untouched).
+    /// Lane identity within the (possibly 1-lane) sharded machine.
     lane: LaneEnv,
 }
 
@@ -389,19 +384,20 @@ fn shard_policy(full_partition: bool) -> ShardPolicy {
         .with(ObjKind::FdTable, ShardClass::CoreLocal)
 }
 
-/// Construction-time identity of a lane build (`None` = legacy).
-#[derive(Debug, Clone, Copy)]
-struct LaneSpec {
-    lane: u16,
-    lanes: u16,
-    /// Machine-wide client-slot count (before lane partitioning).
-    total_slots: u32,
+/// Client slots `cfg` simulates: the open-loop population, or the
+/// closed-loop concurrency.
+fn client_slots(cfg: &SimConfig) -> u32 {
+    cfg.open_loop
+        .as_ref()
+        .map_or(cfg.workload.concurrency(cfg.cores), |o| o.population)
 }
 
 impl Simulation {
-    /// Builds the simulated machine, kernel, applications and peers.
+    /// Builds the simulated machine, kernel, applications and peers:
+    /// lane 0 of a 1-lane machine.
     pub fn new(cfg: SimConfig) -> Self {
-        Self::build(cfg, None)
+        let lane = LaneEnv::new(0, 1, cfg.cores, client_slots(&cfg));
+        Self::build(cfg, lane)
     }
 
     /// Builds lane `lane` of a `lanes`-lane sharded machine: a fully
@@ -412,7 +408,7 @@ impl Simulation {
     /// concurrently on different threads draw identical streams.
     pub(crate) fn new_lane(cfg: &SimConfig, lane: u16, lanes: u16) -> Self {
         assert!(lanes >= 2, "use Simulation::new for the 1-lane machine");
-        assert_eq!(cfg.cores % lanes, 0, "lanes must divide the core count");
+        let env = LaneEnv::new(lane, lanes, cfg.cores, client_slots(cfg));
         let mut lane_cfg = cfg.clone();
         lane_cfg.cores = cfg.cores / lanes;
         lane_cfg.open_loop = cfg
@@ -424,27 +420,20 @@ impl Simulation {
         // shares.
         lane_cfg.mem = cfg.mem.map(|m| m.split(lanes));
         lane_cfg.par = None;
-        let total_slots = cfg
-            .open_loop
-            .as_ref()
-            .map_or(cfg.workload.concurrency(cfg.cores), |o| o.population);
-        Self::build(
-            lane_cfg,
-            Some(LaneSpec {
-                lane,
-                lanes,
-                total_slots,
-            }),
-        )
+        Self::build(lane_cfg, env)
     }
 
-    fn build(cfg: SimConfig, spec: Option<LaneSpec>) -> Self {
-        // Lane builds derive every RNG stream order-independently from
-        // the (seed, lane) pair; the legacy engine keeps its original
-        // direct seeding so golden digests are untouched.
-        let stream = |seed: u64| match spec {
-            None => SimRng::seed(seed),
-            Some(s) => SimRng::stream(seed, u64::from(s.lane)),
+    fn build(cfg: SimConfig, lane: LaneEnv) -> Self {
+        // Lanes of a split machine derive every RNG stream
+        // order-independently from the (seed, lane) pair; the 1-lane
+        // machine seeds directly, which keeps its golden digests.
+        let (id, split) = (lane.id, lane.lanes > 1);
+        let stream = |seed: u64| {
+            if split {
+                SimRng::stream(seed, u64::from(id))
+            } else {
+                SimRng::seed(seed)
+            }
         };
         let cores = cfg.cores;
         let mut stack_config = cfg.kernel.resolve(cores);
@@ -575,32 +564,12 @@ impl Simulation {
         });
 
         // Peers. Open loop sizes the slot pool from the client
-        // population; closed loop from the workload concurrency. A lane
-        // owns the slots with global ids ≡ lane (mod lanes) — IPs stay
-        // globally unique, and a 1-lane machine reduces to the legacy
-        // identity mapping.
-        let n_clients = open
-            .as_ref()
-            .map_or(cfg.workload.concurrency(cores), |o| o.cfg.population);
-        let lane_env = match spec {
-            None => LaneEnv::legacy(n_clients),
-            Some(s) => LaneEnv {
-                id: s.lane,
-                lanes: s.lanes,
-                total_slots: u64::from(s.total_slots),
-                slot_global: (0..n_clients)
-                    .map(|i| u32::from(s.lane) + i * u32::from(s.lanes))
-                    .collect(),
-                router: Some(LaneRouter::new(s.lanes)),
-                outbox: Vec::new(),
-                snap: None,
-                batch: Vec::new(),
-            },
-        };
+        // population; closed loop from the workload concurrency.
+        let n_clients = client_slots(&cfg);
         let mut clients = Vec::with_capacity(n_clients as usize);
         let mut client_by_ip = HashMap::new();
         for s in 0..n_clients {
-            let ip = client_ip(lane_env.slot_global[s as usize]);
+            let ip = client_ip(lane.global_slot(s));
             client_by_ip.insert(ip, s);
             let mut slot = ClientSlot::new(
                 ip,
@@ -679,7 +648,7 @@ impl Simulation {
             samples: Vec::new(),
             sample_cursor: SampleCursor::default(),
             open,
-            lane: lane_env,
+            lane,
         }
     }
 
@@ -748,11 +717,10 @@ impl Simulation {
             // synthetic SYN burst at t=0. The arithmetic runs on global
             // slot ids over the machine-wide population, so a lane's
             // slots keep the exact offsets they'd have on the whole
-            // machine (and the 1-lane identity matches legacy
-            // bit-for-bit).
+            // machine.
             let n = self.lane.total_slots;
             for s in 0..self.clients.len() as u32 {
-                let g = self.lane.slot_global[s as usize];
+                let g = self.lane.global_slot(s);
                 let jitter = (u64::from(g) * 2 * self.cfg.rtt) / n.max(1);
                 self.events.push(jitter, Ev::ClientStart(s));
             }
@@ -897,8 +865,24 @@ impl Simulation {
         }
     }
 
-    /// Runs the simulation to completion and produces the report.
+    /// Runs the simulation to completion and produces the report: the
+    /// 1-lane case of the windowed lane run, with one window.
     pub fn run(mut self) -> RunReport {
+        let end = self.cfg.warmup + self.cfg.measure;
+        let cfg = self.cfg.clone();
+        self.lane_start();
+        self.lane_pump(end);
+        crate::par::merge_outcomes(&cfg, 1, vec![self.lane_finish(end)], end)
+    }
+
+    // ------------------------------------------------------------------
+    // Windowed lane execution (one window for `run`, many under
+    // `crate::par`)
+    // ------------------------------------------------------------------
+
+    /// Runs setup, then kills the workers scheduled to crash at startup
+    /// (`crash_worker`).
+    pub(crate) fn lane_start(&mut self) {
         self.setup();
         let port = self.cfg.app.port();
         for core in std::mem::take(&mut self.pending_crashes) {
@@ -911,50 +895,14 @@ impl Simulation {
                 .destroy_process_socket(port, core);
             debug_assert!(orphans.is_empty(), "no connections exist yet");
         }
-        let end = self.cfg.warmup + self.cfg.measure;
-
-        // Batched dispatch: drain every event sharing the earliest
-        // timestamp in one pull (a whole NIC burst, every same-tick
-        // softirq) instead of re-querying the scheduler per event.
-        // Events scheduled *at* `t` during dispatch carry later sequence
-        // numbers, so they form the next batch — the order is identical
-        // to per-event pops.
-        let mut batch: Vec<Ev> = Vec::new();
-        while let Some(t) = self.events.pop_batch(&mut batch) {
-            self.take_warmup_snapshot(t, end);
-            if t >= end {
-                break;
-            }
-            self.now = t;
-            self.ctx.locks.set_epoch(t);
-            for ev in batch.drain(..) {
-                self.dispatch(ev);
-            }
-        }
-        let snap = match self.lane.snap.take() {
-            Some(s) => s,
-            None => self.snapshot(self.now),
-        };
-        self.tracer.finish(end);
-        self.report(snap, end)
-    }
-
-    // ------------------------------------------------------------------
-    // Lane-sharded execution (driven by `crate::par`)
-    // ------------------------------------------------------------------
-
-    /// Runs setup for a windowed lane run (the lane analogue of the
-    /// prologue of [`run`](Self::run); lanes never carry scheduled
-    /// crashes, so that arm is omitted).
-    pub(crate) fn lane_start(&mut self) {
-        debug_assert!(self.pending_crashes.is_empty());
-        self.setup();
     }
 
     /// Pumps every event strictly before `until`, peek-based so events
-    /// at or beyond the window boundary stay queued for later windows
-    /// (the legacy loop may discard a popped batch at the end of the
-    /// run; a lane must not, since its run continues).
+    /// at or beyond the window boundary stay queued for later windows.
+    /// Every event sharing the earliest timestamp is drained in one pull
+    /// (a whole NIC burst, every same-tick softirq); events scheduled
+    /// *at* `t` during dispatch carry later sequence numbers, so they
+    /// form the next batch — the order is identical to per-event pops.
     pub(crate) fn lane_pump(&mut self, until: Cycles) {
         let mut batch = std::mem::take(&mut self.lane.batch);
         while let Some(t) = self.events.peek_time() {
@@ -1032,9 +980,12 @@ impl Simulation {
     }
 
     /// Finishes a windowed lane run at `end` and reduces it to the
-    /// mergeable [`LaneOutcome`] — the same measurement-window math as
-    /// [`report`](Self::report), kept as raw data instead of a report.
+    /// mergeable [`LaneOutcome`]: counters over this lane's measurement
+    /// window, which opens at its warmup snapshot.
     pub(crate) fn lane_finish(mut self, end: Cycles) -> LaneOutcome {
+        // Conservation audit at drain: whatever sockets remain must
+        // account for every modeled byte and bucket still in the
+        // ledger (strict runs panic on a mismatch).
         if let Some(detail) = self.stack.mem_imbalance() {
             self.checker.invariant_violation("mem_account", 0, detail);
         }
@@ -1065,7 +1016,17 @@ impl Simulation {
             }
         }
 
-        let load = self.open.as_ref().map(|o| LaneLoad {
+        let robustness = (!self.cfg.faults.is_empty()).then(|| {
+            let cycles_per_sec = 1.0 / cycles_to_secs(1);
+            RobustnessReport::analyze(
+                &self.cfg.faults,
+                self.sample_window_cycles(),
+                self.samples.clone(),
+                cycles_per_sec,
+            )
+        });
+
+        let load = self.open.as_ref().map(|o| LoadReport {
             offered: o.offered,
             admitted: o.admitted,
             queued_admissions: o.queued_admissions,
@@ -1073,10 +1034,31 @@ impl Simulation {
             abandoned_connect: o.abandoned_connect,
             completed_sessions: o.completed_sessions,
             peak_backlog: o.peak_backlog,
-            digest: o.digest.value(),
+            offered_cps: o.offered as f64 / cycles_to_secs(end),
+            schedule_digest: o.digest.hex(),
+        });
+
+        let edge = self.cfg.edge.as_ref().map(|_| {
+            let mut c = sim_apps::EdgeCounters::default();
+            for w in &self.workers {
+                if let Some(wc) = w.edge_counters() {
+                    c.merge(&wc);
+                }
+            }
+            EdgeReport {
+                early_dropped: self.nic.stats().early_dropped,
+                probes_sent: c.probes_sent,
+                probe_failures: c.probe_failures,
+                retried: c.retried,
+                failed_over: c.failed_over,
+                lost: c.lost,
+                readmissions: c.readmissions,
+                reused_conns: c.reused_conns,
+            }
         });
 
         LaneOutcome {
+            window_start: snap.at,
             completed,
             responses,
             resets,
@@ -1089,8 +1071,10 @@ impl Simulation {
             stack: self.stack.stats(),
             hists: self.tracer.lifecycle_histograms(),
             checks: self.checker.report(),
+            robustness,
             load,
             payload_bytes,
+            edge,
             events: self.events.delivered(),
             live_sockets: self.stack.socks.live_count(),
             mem: self.stack.mem_report(),
@@ -1194,24 +1178,17 @@ impl Simulation {
         // scheduled time before the stack marks actual arrival).
         let conn = flow_hash(&syn.flow.reversed());
         let at = self.now + self.cfg.rtt / 2;
-        let dst = self
-            .lane
-            .router
-            .as_ref()
-            .map(|r| r.lane_for_flow(&syn.flow));
-        match dst {
-            Some(d) if d != self.lane.id => {
-                self.lane
-                    .outbox
-                    .push((d, BoundaryMsg::Mark { conn, ts: p.sched }));
-                self.lane
-                    .outbox
-                    .push((d, BoundaryMsg::Server { at, pkt: syn }));
-            }
-            _ => {
-                self.tracer.mark(p.sched, 0, conn, TraceLabel::SynArrival);
-                self.events.push(at, Ev::ToServer(syn));
-            }
+        let dst = self.lane.router.lane_for_flow(&syn.flow);
+        if dst == self.lane.id {
+            self.tracer.mark(p.sched, 0, conn, TraceLabel::SynArrival);
+            self.events.push(at, Ev::ToServer(syn));
+        } else {
+            self.lane
+                .outbox
+                .push((dst, BoundaryMsg::Mark { conn, ts: p.sched }));
+            self.lane
+                .outbox
+                .push((dst, BoundaryMsg::Server { at, pkt: syn }));
         }
         self.arm_client_timers(slot, attempt, timeout);
     }
@@ -1280,33 +1257,25 @@ impl Simulation {
 
     /// Whether a packet crosses the lossy client wire (backends live on
     /// a lossless LAN). A lane applies loss at the *receiving* lane, so
-    /// it classifies by the global client-IP pattern — its own
-    /// `client_by_ip` only knows the clients it hosts.
+    /// it classifies by the global client-IP pattern, not by the
+    /// clients it hosts.
     fn on_client_wire(&self, pkt: &Packet) -> bool {
-        if self.lane.router.is_some() {
-            client_slot_of_ip(pkt.flow.dst_ip).is_some()
-                || client_slot_of_ip(pkt.flow.src_ip).is_some()
-        } else {
-            self.client_by_ip.contains_key(&pkt.flow.dst_ip)
-                || self.client_by_ip.contains_key(&pkt.flow.src_ip)
-        }
+        client_slot_of_ip(pkt.flow.dst_ip).is_some() || client_slot_of_ip(pkt.flow.src_ip).is_some()
     }
 
-    /// Dispatches a client-side packet toward the server NIC: on the
-    /// legacy engine a plain event push; on a lane, the router decides
-    /// which lane's NIC receives the flow — cross-lane packets go to
-    /// the outbox for delivery at the next sync window. Backend LAN
-    /// traffic is always lane-local (each lane owns backend replicas).
+    /// Dispatches a client-side packet toward the server NIC. The
+    /// router decides which lane's NIC receives the flow; cross-lane
+    /// packets go to the outbox for delivery at the next sync window.
+    /// Backend LAN traffic is always lane-local (each lane owns backend
+    /// replicas).
     fn send_to_server(&mut self, at: Cycles, pkt: Packet) {
-        if let Some(router) = &self.lane.router {
-            if client_slot_of_ip(pkt.flow.src_ip).is_some() {
-                let dst = router.lane_for_flow(&pkt.flow);
-                if dst != self.lane.id {
-                    self.lane
-                        .outbox
-                        .push((dst, BoundaryMsg::Server { at, pkt }));
-                    return;
-                }
+        if client_slot_of_ip(pkt.flow.src_ip).is_some() {
+            let dst = self.lane.router.lane_for_flow(&pkt.flow);
+            if dst != self.lane.id {
+                self.lane
+                    .outbox
+                    .push((dst, BoundaryMsg::Server { at, pkt }));
+                return;
             }
         }
         self.events.push(at, Ev::ToServer(pkt));
@@ -1315,15 +1284,13 @@ impl Simulation {
     /// Dispatches a server-side packet toward a peer: cross-lane when
     /// the destination client's global slot belongs to another lane.
     fn send_to_peer(&mut self, at: Cycles, pkt: Packet) {
-        if self.lane.router.is_some() {
-            if let Some(slot) = client_slot_of_ip(pkt.flow.dst_ip) {
-                let owner = (slot % u32::from(self.lane.lanes)) as u16;
-                if owner != self.lane.id {
-                    self.lane
-                        .outbox
-                        .push((owner, BoundaryMsg::Peer { at, pkt }));
-                    return;
-                }
+        if let Some(slot) = client_slot_of_ip(pkt.flow.dst_ip) {
+            let owner = (slot % u32::from(self.lane.lanes)) as u16;
+            if owner != self.lane.id {
+                self.lane
+                    .outbox
+                    .push((owner, BoundaryMsg::Peer { at, pkt }));
+                return;
             }
         }
         self.events.push(at, Ev::ToPeer(pkt));
@@ -1861,141 +1828,6 @@ impl Simulation {
             resets: self.clients.iter().map(|c| c.resets).sum(),
             timeouts: self.timeouts,
             bytes: self.clients.iter().map(|c| c.bytes_received).sum(),
-        }
-    }
-
-    fn report(self, snap: Snapshot, end: Cycles) -> RunReport {
-        // Conservation audit at drain: whatever sockets remain must
-        // account for every modeled byte and bucket still in the
-        // ledger (strict runs panic on a mismatch).
-        if let Some(detail) = self.stack.mem_imbalance() {
-            self.checker.invariant_violation("mem_account", 0, detail);
-        }
-        let window = end.saturating_sub(snap.at).max(1);
-        let secs = cycles_to_secs(window);
-        let cores = self.cfg.cores as usize;
-
-        let completed: u64 = self.clients.iter().map(|c| c.completed).sum::<u64>() - snap.completed;
-        let responses: u64 = self.clients.iter().map(|c| c.responses).sum::<u64>() - snap.responses;
-        let resets: u64 = self.clients.iter().map(|c| c.resets).sum::<u64>() - snap.resets;
-        let timeouts = self.timeouts - snap.timeouts;
-
-        let mut core_utilization = Vec::with_capacity(cores);
-        let mut class_delta = [0u64; CycleClass::COUNT];
-        let mut busy_total = 0u64;
-        for c in 0..cores {
-            let busy = self.ctx.cpu.busy_cycles(CoreId(c as u16)) - snap.busy[c];
-            busy_total += busy;
-            core_utilization.push((busy as f64 / window as f64).min(1.0));
-            for (i, cl) in CycleClass::ALL.iter().enumerate() {
-                class_delta[i] +=
-                    self.ctx.cpu.class_cycles(CoreId(c as u16), *cl) - snap.class[c][i];
-            }
-        }
-        let cycle_shares: Vec<(String, f64)> = CycleClass::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, cl)| {
-                let share = if busy_total == 0 {
-                    0.0
-                } else {
-                    class_delta[i] as f64 / busy_total as f64
-                };
-                (cl.name().to_string(), share)
-            })
-            .collect();
-
-        let robustness = if self.cfg.faults.is_empty() {
-            None
-        } else {
-            let cycles_per_sec = 1.0 / cycles_to_secs(1);
-            Some(RobustnessReport::analyze(
-                &self.cfg.faults,
-                self.sample_window_cycles(),
-                self.samples.clone(),
-                cycles_per_sec,
-            ))
-        };
-
-        let load = self.open.as_ref().map(|o| LoadReport {
-            offered: o.offered,
-            admitted: o.admitted,
-            queued_admissions: o.queued_admissions,
-            abandoned_wait: o.abandoned_wait,
-            abandoned_connect: o.abandoned_connect,
-            completed_sessions: o.completed_sessions,
-            peak_backlog: o.peak_backlog,
-            offered_cps: o.offered as f64 / cycles_to_secs(end),
-            schedule_digest: o.digest.hex(),
-        });
-
-        let bulk = self.cfg.data_plane.map(|dp| {
-            let payload_bytes =
-                self.clients.iter().map(|c| c.bytes_received).sum::<u64>() - snap.bytes;
-            BulkReport {
-                cc: dp.cc.name().to_string(),
-                response_bytes: dp.response_bytes,
-                payload_bytes,
-                goodput_gbps: payload_bytes as f64 * 8.0 / secs / 1e9,
-            }
-        });
-
-        let edge = self.cfg.edge.as_ref().map(|_| {
-            let mut c = sim_apps::EdgeCounters::default();
-            for w in &self.workers {
-                if let Some(wc) = w.edge_counters() {
-                    c.merge(&wc);
-                }
-            }
-            EdgeReport {
-                early_dropped: self.nic.stats().early_dropped,
-                probes_sent: c.probes_sent,
-                probe_failures: c.probe_failures,
-                retried: c.retried,
-                failed_over: c.failed_over,
-                lost: c.lost,
-                readmissions: c.readmissions,
-                reused_conns: c.reused_conns,
-            }
-        });
-
-        let stack_stats = self.stack.stats();
-        let steering = match self.cfg.steering {
-            SteeringMode::Rss => "rss",
-            SteeringMode::FdirAtr => "fdir_atr",
-            SteeringMode::FdirPerfect => "fdir_perfect",
-        };
-
-        RunReport {
-            kernel: self.cfg.kernel.label().to_string(),
-            app: self.cfg.app.label().to_string(),
-            cores: self.cfg.cores,
-            steering: steering.to_string(),
-            seed: self.cfg.seed,
-            config_hash: self.cfg.config_digest(),
-            latency: self.tracer.latency(usecs_to_cycles(1.0) as f64),
-            checks: self.checker.report(),
-            robustness,
-            measure_secs: secs,
-            throughput_cps: completed as f64 / secs,
-            requests_per_sec: responses as f64 / secs,
-            completed,
-            responses,
-            resets,
-            timeouts,
-            core_utilization,
-            locks: lock_reports(&self.ctx.locks.all_stats()),
-            l3_miss_rate: self.ctx.cache.stats().miss_rate(),
-            local_packet_proportion: stack_stats.local_packet_proportion(),
-            cycle_shares,
-            stack: stack_stats,
-            avg_listen_walk: stack_stats.avg_listen_walk(),
-            events: self.events.delivered(),
-            live_sockets: self.stack.socks.live_count(),
-            load,
-            bulk,
-            edge,
-            mem: self.stack.mem_report(),
         }
     }
 }

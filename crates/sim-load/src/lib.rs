@@ -270,12 +270,6 @@ impl ScheduleDigest {
     pub fn hex(&self) -> String {
         format!("{:016x}", self.h)
     }
-
-    /// The digest so far as a raw word — used to fold per-lane schedule
-    /// digests into one machine-wide digest deterministically.
-    pub fn value(&self) -> u64 {
-        self.h
-    }
 }
 
 impl Default for ScheduleDigest {
@@ -385,11 +379,13 @@ mod tests {
         assert!(!OpenLoopConfig::poisson(1.0).keep_alive());
     }
 
+    /// The hex form carries the whole word, so a sharded run can parse
+    /// its lanes' digests back and hash them together.
     #[test]
     fn digest_value_matches_hex() {
         let mut d = ScheduleDigest::new();
         d.push(7);
-        assert_eq!(format!("{:016x}", d.value()), d.hex());
+        assert_eq!(u64::from_str_radix(&d.hex(), 16), Ok(d.h));
     }
 
     #[test]

@@ -60,10 +60,9 @@ pub struct LatencyReport {
 }
 
 impl LatencyReport {
-    /// Summarizes `[setup, ttfb, lifetime]` histograms into a report,
-    /// with [`Tracer::latency`]'s convention: `None` when no setup
-    /// completed. This is how the parallel engine rebuilds the report
-    /// after merging per-lane histograms.
+    /// Summarizes `[setup, ttfb, lifetime]` histograms (as
+    /// [`Tracer::lifecycle_histograms`] hands them out, possibly merged
+    /// across lanes) into a report: `None` when no setup completed.
     pub fn from_histograms(hists: &[LatencyHistogram; 3], cycles_per_usec: f64) -> Option<Self> {
         if hists[0].is_empty() {
             return None;
@@ -280,26 +279,11 @@ impl Tracer {
         ChromeTrace::from_events(events.iter(), cycles_per_usec, end_ts)
     }
 
-    /// Latency summaries (setup / ttfb / lifetime), or `None` when the
-    /// tracer is disabled or saw no completed setups.
-    pub fn latency(&self, cycles_per_usec: f64) -> Option<LatencyReport> {
-        let inner = self.inner.as_ref()?;
-        let state = inner.borrow();
-        if state.lifecycle.setup.is_empty() {
-            return None;
-        }
-        Some(LatencyReport {
-            setup: state.lifecycle.setup.summarize(cycles_per_usec),
-            ttfb: state.lifecycle.ttfb.summarize(cycles_per_usec),
-            lifetime: state.lifecycle.lifetime.summarize(cycles_per_usec),
-        })
-    }
-
     /// Owned copies of the three lifecycle histograms — `[setup, ttfb,
     /// lifetime]` — or `None` when the tracer is disabled. Plain data,
     /// so a parallel lane can ship its histograms across a thread
-    /// boundary for merging ([`LatencyHistogram::merge`]); build the
-    /// merged summary with [`LatencyReport::from_histograms`].
+    /// boundary for merging ([`LatencyHistogram::merge`]); summarize
+    /// them with [`LatencyReport::from_histograms`].
     pub fn lifecycle_histograms(&self) -> Option<[LatencyHistogram; 3]> {
         let inner = self.inner.as_ref()?;
         let state = inner.borrow();
@@ -312,7 +296,8 @@ impl Tracer {
 
     /// Non-empty buckets of the setup-latency histogram as
     /// `(upper_bound_cycles, count)` rows, smallest bucket first — the
-    /// printable shape behind [`Tracer::latency`]'s setup summary.
+    /// printable shape behind the setup summary of
+    /// [`LatencyReport::from_histograms`].
     pub fn setup_buckets(&self) -> Vec<(u64, u64)> {
         self.inner.as_ref().map_or_else(Vec::new, |inner| {
             inner.borrow().lifecycle.setup.nonzero_buckets()
@@ -365,7 +350,7 @@ mod tests {
         assert!(t.events().is_empty());
         assert!(t.collapsed().is_empty());
         assert!(t.folded().is_empty());
-        assert!(t.latency(2_700.0).is_none());
+        assert!(t.lifecycle_histograms().is_none());
         assert!(t.dispatch_counts().is_empty());
         assert_eq!(t.dropped(), 0);
         // The chrome export of nothing is still a valid document.
@@ -392,7 +377,8 @@ mod tests {
             t.mark(t0 + 5_400, 0, conn, FirstByte);
             t.mark(t0 + 27_000, 0, conn, Closed);
         }
-        let report = t.latency(2_700.0).unwrap();
+        let hists = t.lifecycle_histograms().unwrap();
+        let report = LatencyReport::from_histograms(&hists, 2_700.0).unwrap();
         assert_eq!(report.setup.count, 10);
         assert!((report.setup.p99_us - 1.0).abs() < 0.1, "{report:?}");
         assert!((report.ttfb.p50_us - 2.0).abs() < 0.2);

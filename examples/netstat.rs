@@ -14,7 +14,7 @@ use sim_net::{FlowTuple, Packet, TcpFlags};
 use sim_os::process::Pid;
 use sim_os::KernelCtx;
 use sim_sync::{LockCosts, LockTable};
-use sim_trace::Tracer;
+use sim_trace::{LatencyReport, Tracer};
 use std::net::Ipv4Addr;
 use tcp_stack::stack::{OsServices, StackConfig, TcpStack};
 
@@ -92,7 +92,10 @@ fn main() {
             *upper_cycles as f64 / per_usec
         );
     }
-    if let Some(latency) = tracer.latency(per_usec) {
+    let latency = tracer
+        .lifecycle_histograms()
+        .and_then(|h| LatencyReport::from_histograms(&h, per_usec));
+    if let Some(latency) = latency {
         let s = latency.setup;
         println!(
             "  {} setups: p50 {:.2} us, p99 {:.2} us, max {:.2} us",

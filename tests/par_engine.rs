@@ -84,6 +84,36 @@ fn violated_lookahead_horizon_breaks_the_digest() {
     );
 }
 
+/// Lanes split the machine for speed without changing what it models:
+/// each client flow reaches the lane whose core block holds the queue
+/// the whole machine's RSS picks, so every core serves the flows it
+/// would serve unsplit, and throughput and tail latency hold across
+/// lane counts.
+#[test]
+fn lane_count_leaves_the_model_alone() {
+    let run = |lanes: u16| {
+        let cfg = base_cfg(KernelSpec::Fastsocket, 8)
+            .trace(true)
+            .par(ParConfig::lanes(lanes).threads(false));
+        assert_eq!(effective_lanes(&cfg), lanes);
+        let r = run_sharded(cfg);
+        let p99 = r.latency.expect("tracing was on").setup.p99_us;
+        (r.throughput_cps, p99)
+    };
+    let (cps_one, p99_one) = run(1);
+    for lanes in [2u16, 4, 8] {
+        let (cps, p99) = run(lanes);
+        assert!(
+            (cps / cps_one - 1.0).abs() <= 0.02,
+            "{lanes} lanes: {cps:.0} cps vs {cps_one:.0} on one lane"
+        );
+        assert!(
+            (p99 / p99_one - 1.0).abs() <= 0.10,
+            "{lanes} lanes: setup p99 {p99:.1} us vs {p99_one:.1} us on one lane"
+        );
+    }
+}
+
 /// Sanitizers stay armed inside lanes: a sharded fastsocket run reports
 /// a merged `CheckReport` covering all simulated cores.
 #[test]
