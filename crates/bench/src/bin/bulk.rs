@@ -19,11 +19,10 @@
 //! nonzero on any violation — the CI gates wired into
 //! `scripts/check.sh`.
 //!
-//! Full run: `bulk --json results/bulk.json > results/bulk.txt`
-//! (also rewrites `results/BENCH_bulk.json` next to the JSON path).
+//! Full run: `bulk --json results/BENCH_bulk.json > results/bulk.txt`.
 
 use fastsocket::{AppSpec, DataPlaneConfig, KernelSpec, RunReport, SimConfig, Simulation};
-use fastsocket_bench::{assert_deterministic, kcps, HarnessArgs};
+use fastsocket_bench::{assert_deterministic, kcps, read_artifact, write_artifact, HarnessArgs};
 use serde::{Deserialize, Serialize};
 use sim_nic::BatchConfig;
 use std::path::{Path, PathBuf};
@@ -81,8 +80,7 @@ struct Cell {
     results_digest: String,
 }
 
-/// The whole emitted artifact (`bulk.json` and `BENCH_bulk.json`
-/// share this schema).
+/// The whole emitted artifact (`BENCH_bulk.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BulkBenchReport {
     measure_secs: f64,
@@ -248,7 +246,7 @@ fn print_report(report: &BulkBenchReport) {
 /// kernels × all three congestion controllers × at least three
 /// response sizes, every cell moving payload.
 fn validate_full(path: &Path) {
-    let report = parse(path);
+    let report: BulkBenchReport = read_artifact(path, "bulk");
     let mut sizes: Vec<u32> = report.cells.iter().map(|c| c.response_bytes).collect();
     sizes.sort_unstable();
     sizes.dedup();
@@ -291,22 +289,6 @@ fn validate_full(path: &Path) {
     );
 }
 
-fn parse(path: &Path) -> BulkBenchReport {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    serde_json::from_str(&text)
-        .unwrap_or_else(|e| panic!("{} does not match the bulk schema: {e}", path.display()))
-}
-
-fn write_bench(report: &BulkBenchReport, path: &Path) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let text = serde_json::to_string_pretty(report).expect("serialize bulk report");
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    eprintln!("(bench summary written to {})", path.display());
-}
-
 /// Short 2-core matrix under full sanitizers; emits its own bench
 /// artifact to a scratch path and re-parses it, so the writer and the
 /// schema cannot drift apart.
@@ -341,8 +323,8 @@ fn smoke() {
         );
     }
     let scratch = PathBuf::from("target/bulk-smoke/BENCH_bulk.json");
-    write_bench(&report, &scratch);
-    let back = parse(&scratch);
+    write_artifact(&report, &scratch);
+    let back: BulkBenchReport = read_artifact(&scratch, "bulk");
     assert_eq!(back.cells.len(), report.cells.len());
     for cell in &report.cells {
         let round = back
@@ -368,7 +350,7 @@ fn main() {
         return;
     }
 
-    let args = HarnessArgs::parse(0.1, "bulk");
+    let args = HarnessArgs::parse(0.1, "BENCH_bulk");
     let cores = args
         .cores
         .as_ref()
@@ -383,11 +365,4 @@ fn main() {
     print_report(&report);
 
     args.write_json(&report);
-    let bench_path = args
-        .json_path
-        .as_ref()
-        .and_then(|p| p.parent())
-        .map_or_else(|| PathBuf::from("results"), Path::to_path_buf)
-        .join("BENCH_bulk.json");
-    write_bench(&report, &bench_path);
 }

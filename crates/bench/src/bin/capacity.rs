@@ -21,11 +21,13 @@
 //! nonzero on any violation — the CI gates wired into
 //! `scripts/check.sh`.
 //!
-//! Full run: `capacity --json results/capacity.json > results/capacity.txt`
-//! (also rewrites `results/BENCH_capacity.json` next to the JSON path).
+//! Full run:
+//! `capacity --json results/BENCH_capacity.json > results/capacity.txt`.
 
 use fastsocket::{AppSpec, KernelSpec, OpenLoopConfig, RunReport, SimConfig, Simulation};
-use fastsocket_bench::{assert_deterministic, kcps, pct, HarnessArgs};
+use fastsocket_bench::{
+    assert_deterministic, kcps, pct, read_artifact, write_artifact, HarnessArgs,
+};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -106,8 +108,7 @@ struct Ladder {
     rungs: Vec<Rung>,
 }
 
-/// The whole emitted artifact (`capacity.json` and
-/// `BENCH_capacity.json` share this schema).
+/// The whole emitted artifact (`BENCH_capacity.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CapacityReport {
     measure_secs: f64,
@@ -324,7 +325,7 @@ fn print_report(report: &CapacityReport, core_counts: &[u16]) {
 /// kernels at 8 and 24 cores, positive capacities, and the paper's
 /// scaling story at 24 cores (Fastsocket > SO_REUSEPORT > base).
 fn validate_full(path: &Path) {
-    let report = parse(path);
+    let report: CapacityReport = read_artifact(path, "capacity");
     for kernel in KERNELS {
         for cores in [8u16, 24] {
             let cap = report.capacity(kernel.label(), cores).unwrap_or_else(|| {
@@ -361,22 +362,6 @@ fn validate_full(path: &Path) {
     );
 }
 
-fn parse(path: &Path) -> CapacityReport {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    serde_json::from_str(&text)
-        .unwrap_or_else(|e| panic!("{} does not match the capacity schema: {e}", path.display()))
-}
-
-fn write_bench(report: &CapacityReport, path: &Path) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let text = serde_json::to_string_pretty(report).expect("serialize capacity report");
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    eprintln!("(bench summary written to {})", path.display());
-}
-
 /// Short 2-core ladder under full sanitizers; emits its own bench
 /// artifact to a scratch path and re-parses it, so the writer and the
 /// schema cannot drift apart.
@@ -397,8 +382,8 @@ fn smoke() {
         );
     }
     let scratch = PathBuf::from("target/capacity-smoke/BENCH_capacity.json");
-    write_bench(&report, &scratch);
-    let back = parse(&scratch);
+    write_artifact(&report, &scratch);
+    let back: CapacityReport = read_artifact(&scratch, "capacity");
     assert_eq!(back.ladders.len(), report.ladders.len());
     for cores in [2u16] {
         for kernel in KERNELS {
@@ -426,7 +411,7 @@ fn main() {
         return;
     }
 
-    let args = HarnessArgs::parse(0.25, "capacity");
+    let args = HarnessArgs::parse(0.25, "BENCH_capacity");
     let core_counts: Vec<u16> = args.cores.clone().unwrap_or_else(|| vec![8, 24]);
     let t = Timing::full(args.measure_secs);
     eprintln!(
@@ -455,11 +440,4 @@ fn main() {
     }
 
     args.write_json(&report);
-    let bench_path = args
-        .json_path
-        .as_ref()
-        .and_then(|p| p.parent())
-        .map_or_else(|| PathBuf::from("results"), Path::to_path_buf)
-        .join("BENCH_capacity.json");
-    write_bench(&report, &bench_path);
 }

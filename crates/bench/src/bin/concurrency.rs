@@ -29,13 +29,13 @@
 //! modeled sockets under the SLO). Both are wired into
 //! `scripts/check.sh`.
 //!
-//! Full run: `concurrency --json results/concurrency.json`
-//! (also rewrites `results/BENCH_concurrency.json` next to it).
+//! Full run: `concurrency --json results/BENCH_concurrency.json >
+//! results/concurrency.txt`.
 
 use fastsocket::{
     AppSpec, KernelSpec, LongLivedMix, MemConfig, OpenLoopConfig, RunReport, SimConfig, Simulation,
 };
-use fastsocket_bench::{assert_deterministic, pct, HarnessArgs};
+use fastsocket_bench::{assert_deterministic, pct, read_artifact, write_artifact, HarnessArgs};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -144,8 +144,7 @@ struct Ladder {
     rungs: Vec<Rung>,
 }
 
-/// The whole emitted artifact (`concurrency.json` and
-/// `BENCH_concurrency.json` share this schema).
+/// The whole emitted artifact (`BENCH_concurrency.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ConcurrencyReport {
     measure_secs: f64,
@@ -426,7 +425,7 @@ fn print_report(report: &ConcurrencyReport, core_counts: &[u16]) {
 /// fastsocket holding 1M+ modeled sockets under the SLO, and never
 /// behind either baseline.
 fn validate_full(path: &Path) {
-    let report = parse(path);
+    let report: ConcurrencyReport = read_artifact(path, "concurrency");
     for kernel in KERNELS {
         let max = report
             .max_sockets(kernel.label(), 8)
@@ -476,26 +475,6 @@ fn validate_full(path: &Path) {
     );
 }
 
-fn parse(path: &Path) -> ConcurrencyReport {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    serde_json::from_str(&text).unwrap_or_else(|e| {
-        panic!(
-            "{} does not match the concurrency schema: {e}",
-            path.display()
-        )
-    })
-}
-
-fn write_bench(report: &ConcurrencyReport, path: &Path) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let text = serde_json::to_string_pretty(report).expect("serialize concurrency report");
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    eprintln!("(bench summary written to {})", path.display());
-}
-
 /// Short 2-core ladder under full sanitizers against a deliberately
 /// tight 256 MiB budget, so the top rung crosses into the pressure
 /// zone; emits its own bench artifact to a scratch path and re-parses
@@ -528,8 +507,8 @@ fn smoke() {
         }
     }
     let scratch = PathBuf::from("target/concurrency-smoke/BENCH_concurrency.json");
-    write_bench(&report, &scratch);
-    let back = parse(&scratch);
+    write_artifact(&report, &scratch);
+    let back: ConcurrencyReport = read_artifact(&scratch, "concurrency");
     assert_eq!(back.ladders.len(), report.ladders.len());
     for kernel in KERNELS {
         assert_eq!(
@@ -556,7 +535,7 @@ fn main() {
         return;
     }
 
-    let args = HarnessArgs::parse(0.3, "concurrency");
+    let args = HarnessArgs::parse(0.3, "BENCH_concurrency");
     let core_counts: Vec<u16> = args.cores.clone().unwrap_or_else(|| vec![8]);
     let s = Shape::full(args.measure_secs);
     let targets = ladder_targets(false);
@@ -590,11 +569,4 @@ fn main() {
     }
 
     args.write_json(&report);
-    let bench_path = args
-        .json_path
-        .as_ref()
-        .and_then(|p| p.parent())
-        .map_or_else(|| PathBuf::from("results"), Path::to_path_buf)
-        .join("BENCH_concurrency.json");
-    write_bench(&report, &bench_path);
 }

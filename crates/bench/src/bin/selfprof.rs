@@ -1,44 +1,36 @@
 //! Self-profiles the simulator's event core: the fig4a 24-core cell
-//! under the timing-wheel scheduler vs the retained `BinaryHeap`
-//! baseline, plus a queue-replay microbenchmark that drives both
-//! backends with the same event-arrival profile the cell generates.
+//! of each kernel, plus a queue-replay microbenchmark that drives the
+//! timing wheel with the same event-arrival profile the cell generates.
 //!
-//! Writes `BENCH_event_core.json`; `--baseline <path>` compares the
-//! wheel wall-clock against a committed baseline and exits nonzero on a
-//! >10% regression (tolerance overridable with `--tolerance 0.25`).
+//! Writes `BENCH_event_core.json`; `--baseline <path>` compares events
+//! per wall-clock second against a committed baseline and exits nonzero
+//! on a >10% regression (tolerance overridable with `--tolerance 0.25`).
+//! The field names keep the `wheel_` prefix from when a heap backend ran
+//! alongside, so earlier artifacts still parse as baselines.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use fastsocket::{AppSpec, KernelSpec, SimConfig, Simulation};
+use fastsocket_bench::{read_artifact, write_artifact};
 use serde::{Deserialize, Serialize};
-use sim_core::{EventQueue, SchedulerKind};
+use sim_core::EventQueue;
 
-/// One kernel's fig4a 24-core cell timed under both backends.
+/// One kernel's fig4a 24-core cell, timed.
 #[derive(Debug, Serialize, Deserialize)]
 struct CellRow {
     kernel: String,
     events: u64,
-    heap_secs: f64,
     wheel_secs: f64,
-    heap_events_per_sec: f64,
     wheel_events_per_sec: f64,
-    /// wheel events/sec over heap events/sec (whole stack, model
-    /// dispatch included).
-    speedup: f64,
-    /// Both backends must produce bit-identical reports.
-    digests_match: bool,
 }
 
 /// The queue-replay microbenchmark: event-core throughput alone.
 #[derive(Debug, Serialize, Deserialize)]
 struct ReplayRow {
     events: u64,
-    heap_secs: f64,
     wheel_secs: f64,
-    heap_events_per_sec: f64,
     wheel_events_per_sec: f64,
-    speedup: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -46,34 +38,28 @@ struct SelfProfile {
     /// Simulated seconds measured per cell.
     measure_secs: f64,
     cells: Vec<CellRow>,
-    /// Sum over cells: wheel wall-clock and the whole-stack speedup.
+    /// Wall-clock seconds summed over cells.
     total_wheel_secs: f64,
-    whole_stack_speedup: f64,
     /// Event-core replay of the cell's arrival profile (no dispatch).
     queue_replay: ReplayRow,
 }
 
-fn cell(
-    kernel: KernelSpec,
-    measure_secs: f64,
-    sched: SchedulerKind,
-) -> (f64, fastsocket::RunReport) {
+fn cell(kernel: KernelSpec, measure_secs: f64) -> (f64, fastsocket::RunReport) {
     let cfg = SimConfig::new(kernel, AppSpec::web(), 24)
         .warmup_secs(0.1)
-        .measure_secs(measure_secs)
-        .scheduler(sched);
+        .measure_secs(measure_secs);
     let start = Instant::now();
     let report = Simulation::new(cfg).run();
     (start.elapsed().as_secs_f64(), report)
 }
 
-/// Replays the fig4a event-arrival profile through one backend: bursty
-/// same-timestamp NIC deliveries, near-future softirq/syscall wakeups
-/// within the wheel horizon, and a far tail of RTO/TIME_WAIT timers.
-/// The mix is generated from a deterministic LCG so both backends see
-/// the identical schedule.
-fn replay(sched: SchedulerKind, total: u64) -> f64 {
-    let mut q: EventQueue<u32> = EventQueue::with_scheduler(sched, 1 << 16);
+/// Replays the fig4a event-arrival profile through the event queue:
+/// bursty same-timestamp NIC deliveries, near-future softirq/syscall
+/// wakeups within the wheel horizon, and a far tail of RTO/TIME_WAIT
+/// timers. The mix is generated from a deterministic LCG so every run
+/// sees the identical schedule.
+fn replay(total: u64) -> f64 {
+    let mut q: EventQueue<u32> = EventQueue::with_capacity(1 << 16);
     let mut rng: u64 = 0x5eed_cafe_f00d_0001;
     let mut next = || {
         rng = rng
@@ -149,99 +135,51 @@ fn main() {
         KernelSpec::Linux313,
         KernelSpec::Fastsocket,
     ] {
-        let (heap_secs, heap_report) = cell(kernel.clone(), measure_secs, SchedulerKind::Heap);
-        let (wheel_secs, wheel_report) = cell(kernel.clone(), measure_secs, SchedulerKind::Wheel);
-        let events = wheel_report.events;
+        let (wheel_secs, report) = cell(kernel, measure_secs);
         cells.push(CellRow {
-            kernel: wheel_report.kernel.clone(),
-            events,
-            heap_secs,
+            kernel: report.kernel,
+            events: report.events,
             wheel_secs,
-            heap_events_per_sec: events as f64 / heap_secs,
-            wheel_events_per_sec: events as f64 / wheel_secs,
-            speedup: heap_secs / wheel_secs,
-            digests_match: heap_report.results_digest() == wheel_report.results_digest(),
+            wheel_events_per_sec: report.events as f64 / wheel_secs,
         });
     }
 
     let replay_events: u64 = 8_000_000;
-    let heap_secs = replay(SchedulerKind::Heap, replay_events);
-    let wheel_secs = replay(SchedulerKind::Wheel, replay_events);
-    let queue_replay = ReplayRow {
-        events: replay_events,
-        heap_secs,
-        wheel_secs,
-        heap_events_per_sec: replay_events as f64 / heap_secs,
-        wheel_events_per_sec: replay_events as f64 / wheel_secs,
-        speedup: heap_secs / wheel_secs,
-    };
-
-    let total_wheel_secs: f64 = cells.iter().map(|c| c.wheel_secs).sum();
-    let total_heap_secs: f64 = cells.iter().map(|c| c.heap_secs).sum();
+    let wheel_secs = replay(replay_events);
     let profile = SelfProfile {
         measure_secs,
-        whole_stack_speedup: total_heap_secs / total_wheel_secs,
-        total_wheel_secs,
+        total_wheel_secs: cells.iter().map(|c| c.wheel_secs).sum(),
         cells,
-        queue_replay,
+        queue_replay: ReplayRow {
+            events: replay_events,
+            wheel_secs,
+            wheel_events_per_sec: replay_events as f64 / wheel_secs,
+        },
     };
 
     println!("event-core self-profile (fig4a 24-core cell, {measure_secs}s simulated)");
     println!(
-        "{:<14}{:>10}{:>12}{:>12}{:>14}{:>14}{:>9}",
-        "kernel", "events", "heap s", "wheel s", "heap ev/s", "wheel ev/s", "speedup"
+        "{:<14}{:>10}{:>12}{:>14}",
+        "kernel", "events", "wall s", "events/s"
     );
     for c in &profile.cells {
         println!(
-            "{:<14}{:>10}{:>12.3}{:>12.3}{:>14.0}{:>14.0}{:>8.2}x{}",
-            c.kernel,
-            c.events,
-            c.heap_secs,
-            c.wheel_secs,
-            c.heap_events_per_sec,
-            c.wheel_events_per_sec,
-            c.speedup,
-            if c.digests_match {
-                ""
-            } else {
-                "  DIGEST MISMATCH"
-            },
+            "{:<14}{:>10}{:>12.3}{:>14.0}",
+            c.kernel, c.events, c.wheel_secs, c.wheel_events_per_sec
         );
     }
     let r = &profile.queue_replay;
     println!(
-        "{:<14}{:>10}{:>12.3}{:>12.3}{:>14.0}{:>14.0}{:>8.2}x",
-        "queue-replay",
-        r.events,
-        r.heap_secs,
-        r.wheel_secs,
-        r.heap_events_per_sec,
-        r.wheel_events_per_sec,
-        r.speedup
+        "{:<14}{:>10}{:>12.3}{:>14.0}",
+        "queue-replay", r.events, r.wheel_secs, r.wheel_events_per_sec
     );
-    println!(
-        "whole-stack speedup: {:.2}x; event-core speedup: {:.2}x",
-        profile.whole_stack_speedup, r.speedup
-    );
-
-    if profile.cells.iter().any(|c| !c.digests_match) {
-        eprintln!("FAIL: scheduler backends disagree on results");
-        std::process::exit(1);
-    }
 
     if let Some(path) = &json_path {
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let s = serde_json::to_string_pretty(&profile).expect("serialize");
-        std::fs::write(path, s).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        eprintln!("(raw results written to {})", path.display());
+        write_artifact(&profile, path);
     }
 
     if let Some(path) = &baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let base: SelfProfile = serde_json::from_str(&text).expect("baseline parses");
+        let base: SelfProfile = read_artifact(path, "event-core");
         // Compare events/sec rather than raw wall-clock so a short smoke
         // window can be held against the committed full-length baseline
         // (events/sec is window-independent; wall-clock is not).
@@ -256,7 +194,7 @@ fn main() {
         );
         if ours < theirs * (1.0 - tolerance) {
             eprintln!(
-                "FAIL: wheel throughput regressed >{:.0}% vs baseline",
+                "FAIL: event-core throughput regressed >{:.0}% vs baseline",
                 tolerance * 100.0
             );
             std::process::exit(1);

@@ -5,7 +5,7 @@
 //! `FS_RESULTS_DIR` environment variable is given) writes the raw
 //! result as JSON for EXPERIMENTS.md bookkeeping.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Parsed common CLI options for harness binaries.
 #[derive(Debug, Clone)]
@@ -72,21 +72,37 @@ impl HarnessArgs {
     /// Writes `value` as pretty JSON to the configured path, if any.
     pub fn write_json<T: serde::Serialize>(&self, value: &T) {
         if let Some(path) = &self.json_path {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match serde_json::to_string_pretty(value) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write(path, s) {
-                        eprintln!("warning: cannot write {}: {e}", path.display());
-                    } else {
-                        eprintln!("(raw results written to {})", path.display());
-                    }
-                }
-                Err(e) => eprintln!("warning: cannot serialize results: {e}"),
-            }
+            write_artifact(value, path);
         }
     }
+}
+
+/// Writes `value` as pretty JSON to `path`, creating missing parent
+/// directories.
+///
+/// # Panics
+///
+/// Panics when `value` does not serialize or `path` cannot be written.
+pub fn write_artifact<T: serde::Serialize>(value: &T, path: &Path) {
+    if let Some(parent) = path.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    let text = serde_json::to_string_pretty(value).expect("results serialize");
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    eprintln!("(raw results written to {})", path.display());
+}
+
+/// Reads back an artifact [`write_artifact`] wrote; `schema` names the
+/// expected shape in the panic message.
+///
+/// # Panics
+///
+/// Panics when `path` cannot be read or does not match the schema.
+pub fn read_artifact<T: serde::Deserialize>(path: &Path, schema: &str) -> T {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    serde_json::from_str(&text)
+        .unwrap_or_else(|e| panic!("{} does not match the {schema} schema: {e}", path.display()))
 }
 
 /// Runs the same cell twice and asserts the chosen digest is

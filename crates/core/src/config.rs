@@ -5,10 +5,9 @@ use sim_apps::edge::EdgeConfig;
 use sim_apps::proxy::ProxyConfig;
 use sim_apps::web::WebConfig;
 use sim_apps::HttpWorkload;
-use sim_core::{secs_to_cycles, usecs_to_cycles, Cycles, SchedulerKind};
+use sim_core::{secs_to_cycles, usecs_to_cycles, Cycles};
 use sim_fault::FaultSchedule;
 use sim_load::OpenLoopConfig;
-use sim_mem::CacheCosts;
 use sim_nic::{AtrConfig, BatchConfig, SteeringMode};
 use sim_res::MemConfig;
 use sim_sync::LockCosts;
@@ -122,8 +121,6 @@ pub struct SimConfig {
     pub client_timeout: Cycles,
     /// Lock-model cost parameters (ablation knob).
     pub lock_costs: LockCosts,
-    /// Cache-model cost parameters (ablation knob).
-    pub cache_costs: CacheCosts,
     /// Flow Director ATR parameters (ablation knob).
     pub atr: AtrConfig,
     /// Packet-loss probability on the client↔server wire (the WAN
@@ -139,10 +136,6 @@ pub struct SimConfig {
     /// dispatch counts). Off by default: a disabled tracer costs one
     /// branch per would-be event.
     pub trace: bool,
-    /// Per-core trace ring capacity (events retained for inspection and
-    /// chrome export; attribution and histograms are unaffected by
-    /// overwrites).
-    pub trace_ring_capacity: usize,
     /// Whether the `sim-check` sanitizers (lockdep, lockset race
     /// detection, partition lints) run. Defaults to on when the crate is
     /// built with the `check` feature, off otherwise; a disabled checker
@@ -163,10 +156,6 @@ pub struct SimConfig {
     /// keep the kernel variant's default; chaos scenarios force it off
     /// to isolate the cookies' contribution under a SYN flood).
     pub syn_cookies: Option<bool>,
-    /// Event-queue backend. Both produce bit-identical results (proven
-    /// by the differential proptest and the cross-scheduler digest
-    /// test); the heap is retained as the benchmarking baseline.
-    pub scheduler: SchedulerKind,
     /// Open-loop workload (`sim-load`): arrivals come from a seeded
     /// arrival process instead of the closed-loop client slots. `None`
     /// (the default) keeps the closed-loop `http_load` model that every
@@ -314,18 +303,15 @@ impl SimConfig {
             backlog: 8_192,
             client_timeout: secs_to_cycles(2.0),
             lock_costs: LockCosts::default(),
-            cache_costs: CacheCosts::default(),
             atr: AtrConfig::default(),
             loss: 0.0,
             dedicated_stack_core: false,
             trace: false,
-            trace_ring_capacity: sim_trace::DEFAULT_RING_CAPACITY,
             check: cfg!(feature = "check"),
             fault: FaultInjection::None,
             faults: FaultSchedule::default(),
             tcb_cap: None,
             syn_cookies: None,
-            scheduler: SchedulerKind::default(),
             open_loop: None,
             data_plane: None,
             par: None,
@@ -425,12 +411,6 @@ impl SimConfig {
         self
     }
 
-    /// Selects the event-queue backend (builder style).
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Switches the run to an open-loop workload (builder style): the
     /// given arrival process replaces the closed-loop client slots.
     /// See [`OpenLoopConfig`].
@@ -479,12 +459,9 @@ impl SimConfig {
 
     /// FNV-1a hash of the full configuration (via its `Debug` form),
     /// surfaced in reports so results can be tied back to the exact
-    /// parameter set that produced them. The scheduler backend is
-    /// canonicalized out: it is an implementation detail proven
-    /// result-identical, so it must not fork result provenance.
+    /// parameter set that produced them.
     pub fn config_digest(&self) -> String {
         let mut canon = self.clone();
-        canon.scheduler = SchedulerKind::default();
         // Of the parallel-engine knobs only the lane count is
         // provenance: the executor and horizon are implementation
         // details the serial==parallel differential oracle proves
@@ -578,19 +555,11 @@ mod tests {
     }
 
     #[test]
-    fn config_digest_ignores_scheduler_backend() {
-        let a = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4);
-        let b = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4)
-            .scheduler(SchedulerKind::Heap);
-        assert_eq!(a.config_digest(), b.config_digest());
-    }
-
-    #[test]
     fn config_digest_unchanged_by_absent_open_loop() {
         // Pinned from before `open_loop` existed: the canonicalization
         // must keep every closed-loop digest stable.
         let a = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4);
-        assert_eq!(a.config_digest(), "827cde302cffa2a4");
+        assert_eq!(a.config_digest(), "d141159a33cc2851");
         let b = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4)
             .open_loop(OpenLoopConfig::poisson(50_000.0));
         assert_ne!(a.config_digest(), b.config_digest());
@@ -601,7 +570,7 @@ mod tests {
         // Same pin as above: arming the data plane must fork the
         // digest, but its absence must leave legacy digests alone.
         let a = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4);
-        assert_eq!(a.config_digest(), "827cde302cffa2a4");
+        assert_eq!(a.config_digest(), "d141159a33cc2851");
         let b = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4)
             .data_plane(DataPlaneConfig::default());
         assert_ne!(a.config_digest(), b.config_digest());
@@ -622,7 +591,7 @@ mod tests {
         // Same pin again: the parallel-engine knob must leave legacy
         // digests alone when absent.
         let a = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4);
-        assert_eq!(a.config_digest(), "827cde302cffa2a4");
+        assert_eq!(a.config_digest(), "d141159a33cc2851");
         let b = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4).par_lanes(4);
         assert_ne!(
             a.config_digest(),
@@ -636,7 +605,7 @@ mod tests {
         // Same pin again: the edge-tier knob must leave legacy digests
         // alone when absent, and fork them when armed.
         let a = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4);
-        assert_eq!(a.config_digest(), "827cde302cffa2a4");
+        assert_eq!(a.config_digest(), "d141159a33cc2851");
         let b =
             SimConfig::new(KernelSpec::Fastsocket, AppSpec::proxy(), 4).edge(EdgeConfig::default());
         let c = SimConfig::new(KernelSpec::Fastsocket, AppSpec::proxy(), 4);
@@ -655,7 +624,7 @@ mod tests {
         // Same pin again: memory accounting must leave legacy digests
         // alone when absent, and fork them when armed.
         let a = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4);
-        assert_eq!(a.config_digest(), "827cde302cffa2a4");
+        assert_eq!(a.config_digest(), "d141159a33cc2851");
         let b =
             SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 4).mem(MemConfig::ram_mb(512));
         assert_ne!(a.config_digest(), b.config_digest());

@@ -154,9 +154,7 @@ pub struct EdgeReport {
 
 impl RunReport {
     /// FNV-1a digest over the report's full JSON serialization. Two runs
-    /// of the same configuration must produce the same digest regardless
-    /// of the event-queue backend — `tests/system_scaling.rs` holds the
-    /// schedulers to exactly that.
+    /// of the same configuration produce the same digest.
     pub fn results_digest(&self) -> String {
         let json = serde_json::to_string(self).expect("RunReport serializes");
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -28,7 +28,7 @@ use sim_core::{
 };
 use sim_fault::{FaultKind, RobustnessReport, WindowSample};
 use sim_load::{ArrivalGen, LoadReport, OpenLoopConfig, ScheduleDigest};
-use sim_mem::{CacheModel, CacheStats};
+use sim_mem::{CacheCosts, CacheModel, CacheStats};
 use sim_net::{FlowTuple, Packet, TcpFlags};
 use sim_nic::{LaneRouter, Nic, NicConfig, QueueId};
 use sim_os::epoll::EpollId;
@@ -150,9 +150,8 @@ struct PendingSession {
 ///
 /// Arrival times, per-session shapes and the response sizer all draw
 /// from dedicated forks of one seeded root RNG, so the generated load
-/// is a pure function of the seed — event interleaving, kernel variant
-/// and scheduler backend cannot perturb it (the schedule digest proves
-/// it).
+/// is a pure function of the seed — event interleaving and the kernel
+/// variant cannot perturb it (the schedule digest proves it).
 #[derive(Debug)]
 struct OpenLoop {
     cfg: OpenLoopConfig,
@@ -458,7 +457,7 @@ impl Simulation {
             stack_config.err_events = true;
         }
         let tracer = if cfg.trace {
-            Tracer::enabled(cores, cfg.trace_ring_capacity)
+            Tracer::enabled(cores, sim_trace::DEFAULT_RING_CAPACITY)
         } else {
             Tracer::disabled()
         };
@@ -506,7 +505,7 @@ impl Simulation {
         let mut ctx = KernelCtx::new(
             cores as usize,
             LockTable::new(cfg.lock_costs),
-            CacheModel::new(cfg.cache_costs),
+            CacheModel::new(CacheCosts::default()),
             stream(cfg.seed),
         );
         ctx.set_tracer(tracer.clone());
@@ -611,7 +610,7 @@ impl Simulation {
         }
 
         let peer_rng = stream(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut events = EventQueue::with_scheduler(cfg.scheduler, 1 << 16);
+        let mut events = EventQueue::with_capacity(1 << 16);
         events.set_tracer(tracer.clone(), Ev::label);
         let active_loss = cfg.loss;
         let stalled = vec![None; cores as usize];

@@ -9,25 +9,21 @@
 //! Every push returns a [`TimerKey`]; [`EventQueue::cancel`] withdraws a
 //! still-pending event so it is never dispatched. Cancelling consumes no
 //! sequence number, so the remaining events keep exactly the order they
-//! had. A cancelled heap entry is reclaimed (its payload at once, its
+//! had. A cancelled far-tier entry is reclaimed (its payload at once, its
 //! key by a sweep once dead keys outnumber live ones), so pending
 //! storage tracks live timers rather than every timer ever armed.
 //!
-//! Two interchangeable backends implement that contract:
+//! The queue is a hashed timing wheel for the near future (Varghese &
+//! Lauck), cascading into a slab-backed binary heap only for far-future
+//! events such as TIME_WAIT expiry, RTO backoff and client timeouts.
+//! Near events (packets, softirqs, process wakes) land in O(1) wheel
+//! slots instead of paying an O(log n) sift past the tens of thousands
+//! of pending far-future timers.
 //!
-//! * [`SchedulerKind::Wheel`] (the default) — a hashed timing wheel for the
-//!   near future (Varghese & Lauck), cascading into a slab-backed binary
-//!   heap only for far-future events such as TIME_WAIT expiry, RTO backoff
-//!   and client timeouts. Near events (packets, softirqs, process wakes)
-//!   land in O(1) wheel slots instead of paying an O(log n) sift past the
-//!   tens of thousands of pending far-future timers.
-//! * [`SchedulerKind::Heap`] — one slab-backed binary heap for every
-//!   event, kept as the differential-testing and benchmarking baseline.
-//!
-//! Both backends produce bit-identical pop orders and agree on which
-//! cancels withdraw an event; the differential proptest in
-//! `tests/prop_event_diff.rs` drives them with identical
-//! push/pop/cancel schedules and asserts exactly that.
+//! `tests/prop_event_diff.rs` and `tests/wheel_epoch.rs` drive the queue
+//! with push/pop/cancel schedules against a sorted-map reference model
+//! that shares no code with the wheel, and assert identical pop orders
+//! and cancel outcomes.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -38,20 +34,6 @@ use crate::time::Cycles;
 
 /// A dispatch-count hook: the tracer plus the event-labeling function.
 type DispatchTrace<E> = (Tracer, fn(&E) -> &'static str);
-
-/// Which event-queue backend drives the simulation.
-///
-/// Both orders are proven identical; the knob exists so benchmarks and
-/// tests can compare them and so a regression can be bisected to the
-/// scheduler in one config flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Two-tier timing wheel + far-future heap (default, fast).
-    #[default]
-    Wheel,
-    /// Single global binary heap (baseline).
-    Heap,
-}
 
 /// Log2 of the wheel-slot width in cycles: 8192 cycles ≈ 3 µs per slot.
 const SLOT_BITS: u32 = 13;
@@ -83,7 +65,7 @@ const NEAR: u32 = u32::MAX;
 pub struct TimerKey {
     time: Cycles,
     seq: u64,
-    /// Slab index while the event sits in a heap, or `NEAR`.
+    /// Slab index while the event sits in the far tier, or `NEAR`.
     idx: u32,
 }
 
@@ -113,16 +95,10 @@ impl TimerKey {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Wheel<E>,
     seq: u64,
     popped: u64,
     trace: Option<DispatchTrace<E>>,
-}
-
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(TimerHeap<E>),
-    Wheel(Box<Wheel<E>>),
 }
 
 #[derive(Debug)]
@@ -431,35 +407,18 @@ impl<E> Wheel<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the default (wheel) scheduler.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::default(), 0)
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
+    /// Creates an empty queue with far-tier capacity pre-allocated.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_scheduler(SchedulerKind::default(), cap)
-    }
-
-    /// Creates an empty queue with an explicit backend.
-    pub fn with_scheduler(kind: SchedulerKind, cap: usize) -> Self {
-        let backend = match kind {
-            SchedulerKind::Wheel => Backend::Wheel(Box::new(Wheel::new(cap))),
-            SchedulerKind::Heap => Backend::Heap(TimerHeap::new(cap)),
-        };
         EventQueue {
-            backend,
+            wheel: Wheel::new(cap),
             seq: 0,
             popped: 0,
             trace: None,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 
@@ -474,10 +433,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: Cycles, event: E) -> TimerKey {
         let seq = self.seq;
         self.seq += 1;
-        let idx = match &mut self.backend {
-            Backend::Heap(heap) => heap.push(time, seq, event),
-            Backend::Wheel(wheel) => wheel.push(time, seq, event),
-        };
+        let idx = self.wheel.push(time, seq, event);
         TimerKey { time, seq, idx }
     }
 
@@ -486,18 +442,12 @@ impl<E> EventQueue<E> {
     /// Returns whether an event was withdrawn — `false` when it was
     /// already popped or cancelled.
     pub fn cancel(&mut self, key: TimerKey) -> bool {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.cancel(key),
-            Backend::Wheel(wheel) => wheel.cancel(key),
-        }
+        self.wheel.cancel(key)
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        let e = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop()?,
-            Backend::Wheel(wheel) => wheel.pop()?,
-        };
+        let e = self.wheel.pop()?;
         self.popped += 1;
         if let Some((tracer, label)) = &self.trace {
             tracer.count_dispatch(label(&e.event));
@@ -522,18 +472,12 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event without removing it.
     pub fn peek_time(&mut self) -> Option<Cycles> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek_time(),
-            Backend::Wheel(wheel) => wheel.peek_time(),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len,
-        }
+        self.wheel.len
     }
 
     /// Whether no events are pending.
@@ -557,75 +501,59 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn both() -> [EventQueue<u32>; 2] {
-        [
-            EventQueue::with_scheduler(SchedulerKind::Wheel, 0),
-            EventQueue::with_scheduler(SchedulerKind::Heap, 0),
-        ]
-    }
-
-    /// Heap keys plus slab slots of the queue's slab-backed heap.
-    fn heap_storage<E>(q: &EventQueue<E>) -> usize {
-        let heap = match &q.backend {
-            Backend::Heap(heap) => heap,
-            Backend::Wheel(wheel) => &wheel.far,
-        };
-        heap.keys.len() + heap.slab.len()
+    /// Heap keys plus slab slots of the queue's far tier.
+    fn far_storage<E>(q: &EventQueue<E>) -> usize {
+        q.wheel.far.keys.len() + q.wheel.far.slab.len()
     }
 
     #[test]
     fn orders_by_time() {
-        for mut q in both() {
-            q.push(5, 5u32);
-            q.push(1, 1);
-            q.push(3, 3);
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 3, 5]);
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(5, 5u32);
+        q.push(1, 1);
+        q.push(3, 3);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 3, 5]);
     }
 
     #[test]
     fn fifo_on_equal_time() {
-        for mut q in both() {
-            for i in 0..100u32 {
-                q.push(42, i);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..100u32 {
+            q.push(42, i);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut q = EventQueue::with_scheduler(kind, 0);
-            q.push(10, "a");
-            q.push(30, "c");
-            assert_eq!(q.pop(), Some((10, "a")));
-            q.push(20, "b");
-            assert_eq!(q.pop(), Some((20, "b")));
-            assert_eq!(q.pop(), Some((30, "c")));
-        }
+        let mut q = EventQueue::new();
+        q.push(10, "a");
+        q.push(30, "c");
+        assert_eq!(q.pop(), Some((10, "a")));
+        q.push(20, "b");
+        assert_eq!(q.pop(), Some((20, "b")));
+        assert_eq!(q.pop(), Some((30, "c")));
     }
 
     #[test]
     fn far_future_events_cascade_back() {
         // Far beyond the wheel horizon, with slab recycling in between.
         let horizon = (WHEEL_SLOTS as u64) << SLOT_BITS;
-        for mut q in both() {
-            q.push(3 * horizon, 3u32);
-            q.push(1, 1);
-            q.push(7 * horizon, 7);
-            q.push(horizon + 5, 2);
-            assert_eq!(q.pop(), Some((1, 1)));
-            assert_eq!(q.pop(), Some((horizon + 5, 2)));
-            // Push after draining part of the far tier: indices recycle.
-            q.push(5 * horizon, 5);
-            assert_eq!(q.pop(), Some((3 * horizon, 3)));
-            assert_eq!(q.pop(), Some((5 * horizon, 5)));
-            assert_eq!(q.pop(), Some((7 * horizon, 7)));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(3 * horizon, 3u32);
+        q.push(1, 1);
+        q.push(7 * horizon, 7);
+        q.push(horizon + 5, 2);
+        assert_eq!(q.pop(), Some((1, 1)));
+        assert_eq!(q.pop(), Some((horizon + 5, 2)));
+        // Push after draining part of the far tier: indices recycle.
+        q.push(5 * horizon, 5);
+        assert_eq!(q.pop(), Some((3 * horizon, 3)));
+        assert_eq!(q.pop(), Some((5 * horizon, 5)));
+        assert_eq!(q.pop(), Some((7 * horizon, 7)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -633,38 +561,36 @@ mod tests {
         // Events in one slot arriving via ring, far tier and late pushes
         // must still come out in (time, seq) order.
         let t = ((WHEEL_SLOTS as u64) + 3) << SLOT_BITS;
-        for mut q in both() {
-            q.push(t + 2, 20u32); // far at creation time
-            q.push(t + 1, 10);
-            q.push(t + 2, 21);
-            q.push(0, 0);
-            assert_eq!(q.pop(), Some((0, 0)));
-            // Now cur advances into range; same-slot push lands in batch.
-            assert_eq!(q.pop(), Some((t + 1, 10)));
-            q.push(t + 2, 22);
-            assert_eq!(q.pop(), Some((t + 2, 20)));
-            assert_eq!(q.pop(), Some((t + 2, 21)));
-            assert_eq!(q.pop(), Some((t + 2, 22)));
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(t + 2, 20u32); // far at creation time
+        q.push(t + 1, 10);
+        q.push(t + 2, 21);
+        q.push(0, 0);
+        assert_eq!(q.pop(), Some((0, 0)));
+        // Now cur advances into range; same-slot push lands in batch.
+        assert_eq!(q.pop(), Some((t + 1, 10)));
+        q.push(t + 2, 22);
+        assert_eq!(q.pop(), Some((t + 2, 20)));
+        assert_eq!(q.pop(), Some((t + 2, 21)));
+        assert_eq!(q.pop(), Some((t + 2, 22)));
     }
 
     #[test]
     fn pop_batch_groups_equal_times() {
-        for mut q in both() {
-            q.push(10, 1u32);
-            q.push(10, 2);
-            q.push(20, 3);
-            q.push(10, 4);
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch(&mut out), Some(10));
-            assert_eq!(out, vec![1, 2, 4]);
-            out.clear();
-            assert_eq!(q.pop_batch(&mut out), Some(20));
-            assert_eq!(out, vec![3]);
-            out.clear();
-            assert_eq!(q.pop_batch(&mut out), None);
-            assert_eq!(q.delivered(), 4);
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(10, 1u32);
+        q.push(10, 2);
+        q.push(20, 3);
+        q.push(10, 4);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch(&mut out), Some(10));
+        assert_eq!(out, vec![1, 2, 4]);
+        out.clear();
+        assert_eq!(q.pop_batch(&mut out), Some(20));
+        assert_eq!(out, vec![3]);
+        out.clear();
+        assert_eq!(q.pop_batch(&mut out), None);
+        assert_eq!(q.delivered(), 4);
     }
 
     #[test]
@@ -688,69 +614,65 @@ mod tests {
 
     #[test]
     fn counters_track_len_and_delivered() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            q.push(1, 1);
-            q.push(2, 2);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(1));
-            q.pop();
-            assert_eq!(q.delivered(), 1);
-            assert_eq!(q.len(), 1);
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        assert!(q.is_empty());
+        q.push(1, 1);
+        q.push(2, 2);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(1));
+        q.pop();
+        assert_eq!(q.delivered(), 1);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn cancel_withdraws_from_every_tier() {
         let span = WHEEL_SPAN_CYCLES;
-        for mut q in both() {
-            let batch = q.push(0, 0u32);
-            let ring = q.push(span / 2, 1);
-            let far = q.push(3 * span, 2);
-            let kept = q.push(3 * span, 3);
-            assert!(q.cancel(batch));
-            assert!(q.cancel(ring));
-            assert!(q.cancel(far));
-            assert!(!q.cancel(far), "a second cancel is a no-op");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((3 * span, 3)));
-            assert!(!q.cancel(kept), "a popped event cannot be cancelled");
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.delivered(), 1);
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let batch = q.push(0, 0u32);
+        let ring = q.push(span / 2, 1);
+        let far = q.push(3 * span, 2);
+        let kept = q.push(3 * span, 3);
+        assert!(q.cancel(batch));
+        assert!(q.cancel(ring));
+        assert!(q.cancel(far));
+        assert!(!q.cancel(far), "a second cancel is a no-op");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((3 * span, 3)));
+        assert!(!q.cancel(kept), "a popped event cannot be cancelled");
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.delivered(), 1);
     }
 
     #[test]
     fn cancel_reaches_far_events_moved_into_the_batch() {
         let t = 5 * WHEEL_SPAN_CYCLES;
-        for mut q in both() {
-            q.push(t, 0u32);
-            let moved = q.push(t + 1, 1);
-            q.push(t + 2, 2);
-            assert_eq!(q.pop(), Some((t, 0)));
-            assert!(q.cancel(moved));
-            assert_eq!(q.pop(), Some((t + 2, 2)));
-            assert!(q.is_empty());
-        }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(t, 0u32);
+        let moved = q.push(t + 1, 1);
+        q.push(t + 2, 2);
+        assert_eq!(q.pop(), Some((t, 0)));
+        assert!(q.cancel(moved));
+        assert_eq!(q.pop(), Some((t + 2, 2)));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn push_cancel_cycles_do_not_grow_the_far_tier() {
         let far = 10 * WHEEL_SPAN_CYCLES;
-        for mut q in both() {
-            for i in 0..8u32 {
-                q.push(far + u64::from(i), i);
-            }
-            let live = heap_storage(&q);
-            for i in 0..10_000u64 {
-                let key = q.push(far + 100 + i, 99);
-                assert!(q.cancel(key));
-                // Tombstones never outnumber live keys, and the slab
-                // recycles the cancelled slot.
-                assert!(heap_storage(&q) <= 2 * live + 2, "cycle {i}");
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..8).collect::<Vec<_>>());
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..8u32 {
+            q.push(far + u64::from(i), i);
         }
+        let live = far_storage(&q);
+        for i in 0..10_000u64 {
+            let key = q.push(far + 100 + i, 99);
+            assert!(q.cancel(key));
+            // Tombstones never outnumber live keys, and the slab
+            // recycles the cancelled slot.
+            assert!(far_storage(&q) <= 2 * live + 2, "cycle {i}");
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>());
     }
 }

@@ -35,7 +35,7 @@ pub mod rng;
 pub mod time;
 
 pub use cpu::{CoreId, CostSheet, Cpu, CycleClass};
-pub use event::{EventQueue, SchedulerKind, TimerKey};
+pub use event::{EventQueue, TimerKey};
 pub use lane::{run_lanes_serial, run_lanes_threads, LaneSchedule, LaneSim};
 pub use rng::SimRng;
 pub use time::{cycles_to_secs, secs_to_cycles, usecs_to_cycles, Cycles, CYCLES_PER_SEC};

@@ -1,10 +1,13 @@
-//! Differential proptest: the timing-wheel scheduler must reproduce the
-//! binary heap's pop order bit-for-bit — including FIFO tie-breaking at
-//! duplicate timestamps — under arbitrary interleaved push/pop/cancel
-//! schedules, and both must agree on which cancels withdraw an event.
+//! Differential proptest: the event queue must reproduce the sorted-map
+//! reference model's pop order bit-for-bit — including FIFO tie-breaking
+//! at duplicate timestamps — under arbitrary interleaved
+//! push/pop/cancel schedules, and both must agree on which cancels
+//! withdraw an event.
 
+mod common;
+
+use common::{Model, ModelKey};
 use proptest::prelude::*;
-use sim_core::event::SchedulerKind;
 use sim_core::{Cycles, EventQueue, TimerKey};
 
 /// Decodes one raw `(kind, magnitude)` pair into a schedule step.
@@ -14,9 +17,9 @@ use sim_core::{Cycles, EventQueue, TimerKey};
 ///   reach past the wheel horizon (~2.1M cycles), exercising the far
 ///   tier and its slab recycling. Simulations only ever schedule at or
 ///   after "now", which is why offsets are relative to the last pop.
-/// * `8..=11` — pop one event from both queues.
-/// * `12..=13` — drain one same-timestamp batch from both queues.
-/// * `14..=15` — cancel one earlier push on both queues, picked among
+/// * `8..=11` — pop one event from the queue and the model.
+/// * `12..=13` — drain one same-timestamp batch from both.
+/// * `14..=15` — cancel one earlier push on both, picked among
 ///   every key so far: near or far, pending, popped or already
 ///   cancelled.
 #[derive(Debug, Clone, Copy)]
@@ -42,59 +45,56 @@ fn decode(kind: u8, magnitude: u64) -> Step {
 
 proptest! {
     #[test]
-    fn wheel_and_heap_pop_identically(
+    fn queue_pops_like_the_reference_model(
         raw in collection::vec((0u8..16, 0u64..u64::MAX), 1..400)
     ) {
-        let mut wheel: EventQueue<u32> = EventQueue::with_scheduler(SchedulerKind::Wheel, 0);
-        let mut heap: EventQueue<u32> = EventQueue::with_scheduler(SchedulerKind::Heap, 0);
-        let mut keys: Vec<(TimerKey, TimerKey)> = Vec::new();
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut model: Model<u32> = Model::new();
+        let mut keys: Vec<(TimerKey, ModelKey)> = Vec::new();
         let mut now: Cycles = 0;
         let mut id: u32 = 0;
-        let (mut wb, mut hb) = (Vec::new(), Vec::new());
+        let (mut qb, mut mb) = (Vec::new(), Vec::new());
         for (kind, magnitude) in raw {
             match decode(kind, magnitude) {
                 Step::Push(off) => {
-                    keys.push((wheel.push(now + off, id), heap.push(now + off, id)));
+                    keys.push((queue.push(now + off, id), model.push(now + off, id)));
                     id += 1;
                 }
                 Step::Pop => {
-                    let w = wheel.pop();
-                    let h = heap.pop();
-                    prop_assert_eq!(w, h);
-                    if let Some((t, _)) = w {
+                    let q = queue.pop();
+                    prop_assert_eq!(q, model.pop());
+                    if let Some((t, _)) = q {
                         now = t;
                     }
                 }
                 Step::PopBatch => {
-                    wb.clear();
-                    hb.clear();
-                    let wt = wheel.pop_batch(&mut wb);
-                    let ht = heap.pop_batch(&mut hb);
-                    prop_assert_eq!(wt, ht);
-                    prop_assert_eq!(&wb, &hb);
-                    if let Some(t) = wt {
+                    qb.clear();
+                    mb.clear();
+                    let qt = queue.pop_batch(&mut qb);
+                    prop_assert_eq!(qt, model.pop_batch(&mut mb));
+                    prop_assert_eq!(&qb, &mb);
+                    if let Some(t) = qt {
                         now = t;
                     }
                 }
                 Step::Cancel(pick) => {
                     if !keys.is_empty() {
-                        let (w, h) = keys[(pick % keys.len() as u64) as usize];
-                        prop_assert_eq!(wheel.cancel(w), heap.cancel(h));
+                        let (q, m) = keys[(pick % keys.len() as u64) as usize];
+                        prop_assert_eq!(queue.cancel(q), model.cancel(m));
                     }
                 }
             }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.delivered(), heap.delivered());
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.delivered(), model.delivered());
         }
         // Drain the rest: the full residual order must match too.
         loop {
-            let w = wheel.pop();
-            let h = heap.pop();
-            prop_assert_eq!(w, h);
-            if w.is_none() {
+            let q = queue.pop();
+            prop_assert_eq!(q, model.pop());
+            if q.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(wheel.delivered(), heap.delivered());
+        prop_assert_eq!(queue.delivered(), model.delivered());
     }
 }

@@ -240,7 +240,7 @@ pub struct LoadReport {
     pub offered_cps: f64,
     /// FNV-1a digest over (arrival cycle, request size, session length)
     /// for every arrival — same seed ⇒ same digest, regardless of the
-    /// event-queue backend or how the server behaved.
+    /// kernel under test or how the server behaved.
     pub schedule_digest: String,
 }
 

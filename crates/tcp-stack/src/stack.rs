@@ -824,7 +824,7 @@ impl TcpStack {
             match dp.snd.on_ack(pkt.ack, snd_nxt, pkt.wnd) {
                 AckKind::Old => {}
                 AckKind::Dup { count } => {
-                    if count == DUP_ACK_THRESHOLD && !dp.snd.in_recovery {
+                    if count == DUP_ACK_THRESHOLD && !dp.snd.in_recovery() {
                         dp.cc.on_fast_retransmit(dp.snd.inflight(snd_nxt), now);
                         dp.snd.enter_recovery(snd_nxt);
                         fast_rtx = front;
@@ -833,7 +833,7 @@ impl TcpStack {
                 AckKind::Advance { acked } => {
                     let marked = pkt.flags.ece();
                     ecn_echo = marked;
-                    let una = dp.snd.una;
+                    let una = dp.snd.una();
                     dp.cc.on_ack(&AckCtx {
                         acked,
                         marked,
@@ -841,7 +841,7 @@ impl TcpStack {
                         una,
                         snd_nxt,
                     });
-                    if dp.snd.in_recovery {
+                    if dp.snd.in_recovery() {
                         if dp.snd.recovery_done() {
                             dp.snd.exit_recovery();
                             dp.cc.on_recovery_exit();
@@ -2278,23 +2278,12 @@ impl TcpStack {
         let t = self.socks.get_mut(sock);
         let bytes = std::mem::take(&mut t.rx_ready);
         let (flow, snd_nxt, rcv_nxt) = (t.flow, t.snd_nxt, t.rcv_nxt);
-        let mut update = None;
-        if let Some(dp) = t.dp.as_mut() {
-            let before = dp.rcv.advertised();
-            dp.rcv.drain(bytes);
-            let after = dp.rcv.advertised();
-            // Only bother the wire when the window was mostly closed
-            // (the half-budget heuristic real stacks use to suppress
-            // silly-window updates).
-            if after > before && u32::from(before) < dp.rcv.budget / 2 {
-                update = Some(
-                    Packet::new(flow, TcpFlags::ACK)
-                        .with_seq(snd_nxt)
-                        .with_ack(rcv_nxt)
-                        .with_wnd(after),
-                );
-            }
-        }
+        let update = t.dp.as_mut().and_then(|dp| dp.rcv.drain(bytes)).map(|wnd| {
+            Packet::new(flow, TcpFlags::ACK)
+                .with_seq(snd_nxt)
+                .with_ack(rcv_nxt)
+                .with_wnd(wnd)
+        });
         self.mem_drain_recv(sock);
         op.work(CycleClass::Syscall, self.copy_cost(bytes));
         if update.is_some() {
@@ -2370,16 +2359,13 @@ impl TcpStack {
                 // Data plane: bytes still queued for segmentation mean
                 // the FIN must ride behind them — push_segments emits
                 // it once the window lets the queue drain.
-                let defer_fin = send_fin && {
-                    let t = self.socks.get_mut(sock);
-                    match t.dp.as_mut() {
-                        Some(dp) if dp.snd.pending > 0 => {
-                            dp.snd.defer_fin();
-                            true
-                        }
-                        _ => false,
-                    }
-                };
+                let defer_fin = send_fin
+                    && self
+                        .socks
+                        .get_mut(sock)
+                        .dp
+                        .as_mut()
+                        .is_some_and(|dp| dp.snd.defer_fin());
                 if defer_fin {
                     None
                 } else if send_fin {

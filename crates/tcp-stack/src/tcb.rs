@@ -22,6 +22,19 @@ pub struct SockId(pub u32);
 /// `flow` is stored from the local endpoint's perspective (`src` =
 /// local address/port). `app_core` records where the owning application
 /// runs — the reference point for connection-locality accounting.
+///
+/// Every field has one owning component:
+///
+/// | Component | Fields |
+/// |---|---|
+/// | `tcb.rs` (identity & registry) | `id`, `gen`, `flow`, `active`, `lock`, `obj`, `buf_obj`, `app_core` |
+/// | `state.rs` (state machine) | `state` |
+/// | `stack.rs` (sequence & retransmit path) | `snd_nxt`, `rcv_nxt`, `rx_ready`, `peer_fin_seen`, `unacked`, `rtx_attempts`, `rtx_timer` |
+/// | sim-os integration (vfs/epoll/process) | `owner`, `epoll`, `epoll_data`, `vfs` |
+/// | `listen.rs` (accept & SYN queues) | `queued_in`, `syn_queued_in` |
+/// | `established.rs` (table membership) | `in_est`, `est_home` |
+/// | `window.rs` (data plane) | `dp` |
+/// | `stack.rs` `mem_*` helpers (sim-res ledger) | `mem_charge`, `mem_rcv`, `mem_snd`, `mem_orphan`, `mem_core` |
 #[derive(Debug)]
 pub struct Tcb {
     /// This socket's id.

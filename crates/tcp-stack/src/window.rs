@@ -65,24 +65,32 @@ pub enum AckKind {
 /// Sender-side sliding window: unacknowledged floor, peer-advertised
 /// window, duplicate-ACK accounting, fast-recovery bookkeeping and the
 /// backlog of application bytes not yet segmented.
+///
+/// The fields are private, so only this module writes window state;
+/// the stack goes through the methods:
+///
+/// ```compile_fail
+/// let mut w = tcp_stack::SendWindow::new(0);
+/// w.pending = 1_448;
+/// ```
 #[derive(Debug, Clone)]
 pub struct SendWindow {
     /// Oldest unacknowledged sequence number.
-    pub una: u32,
+    una: u32,
     /// Most recent window advertised by the peer, in bytes.
-    pub peer_wnd: u32,
+    peer_wnd: u32,
     /// Consecutive duplicate ACKs observed.
-    pub dup_acks: u8,
+    dup_acks: u8,
     /// Inside NewReno-style fast recovery.
-    pub in_recovery: bool,
+    in_recovery: bool,
     /// `snd_nxt` when recovery was entered; recovery ends once `una`
     /// passes this point (the RFC 6582 `recover` variable).
-    pub recover: u32,
+    recover: u32,
     /// Application bytes queued but not yet segmented.
-    pub pending: u64,
+    pending: u64,
     /// A close() was issued while data was still queued; emit the FIN
     /// after the last data segment.
-    pub fin_pending: bool,
+    fin_pending: bool,
 }
 
 impl SendWindow {
@@ -97,6 +105,16 @@ impl SendWindow {
             pending: 0,
             fin_pending: false,
         }
+    }
+
+    /// Oldest unacknowledged sequence number.
+    pub(crate) fn una(&self) -> u32 {
+        self.una
+    }
+
+    /// Whether the sender is inside fast recovery.
+    pub(crate) fn in_recovery(&self) -> bool {
+        self.in_recovery
     }
 
     /// Bytes in flight given the current `snd_nxt`.
@@ -163,10 +181,12 @@ impl SendWindow {
         self.in_recovery = false;
     }
 
-    /// `close()` ran while data was still queued: remember to emit the
-    /// FIN once the backlog drains.
-    pub fn defer_fin(&mut self) {
-        self.fin_pending = true;
+    /// `close()` ran: if data is still queued, remember to emit the FIN
+    /// once the backlog drains. Returns whether the FIN was deferred.
+    pub fn defer_fin(&mut self) -> bool {
+        let defer = self.pending > 0;
+        self.fin_pending |= defer;
+        defer
     }
 
     /// Whether a deferred FIN is ready to ride out now (backlog empty);
@@ -187,9 +207,9 @@ impl SendWindow {
 #[derive(Debug, Clone)]
 pub struct RecvWindow {
     /// Total buffer budget in bytes.
-    pub budget: u32,
+    budget: u32,
     /// Bytes delivered to the socket but not yet consumed by the app.
-    pub used: u32,
+    used: u32,
 }
 
 impl RecvWindow {
@@ -219,9 +239,14 @@ impl RecvWindow {
         }
     }
 
-    /// The application consumed `bytes` via `recv`.
-    pub fn drain(&mut self, bytes: u32) {
+    /// The application consumed `bytes` via `recv`. Returns the window
+    /// to advertise when it reopened from below half the budget (the
+    /// heuristic real stacks use to suppress silly-window updates).
+    pub fn drain(&mut self, bytes: u32) -> Option<u16> {
+        let before = self.advertised();
         self.used = self.used.saturating_sub(bytes);
+        let after = self.advertised();
+        (after > before && u32::from(before) < self.budget / 2).then_some(after)
     }
 }
 
@@ -242,9 +267,9 @@ pub struct DataPlane {
     /// GSO/GRO amortization parameters (mirrors the NIC's).
     pub batch: BatchConfig,
     /// Cumulative TX segment index, for GSO burst accounting.
-    pub gso_idx: u16,
+    gso_idx: u16,
     /// Cumulative in-order RX segment index, for GRO accounting.
-    pub gro_idx: u16,
+    gro_idx: u16,
 }
 
 impl DataPlane {

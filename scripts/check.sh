@@ -105,17 +105,15 @@ else
   ./target/release/par_speedup 0.1
 fi
 
-# Verification gate: the write-scope lint proves (via --self-test)
-# that it still catches deliberately mis-scoped writes, then scans the
-# real tcp-stack sources; the verify bin runs all three runtime
-# detectors (lockset, happens-before, shard certifier) plus strict
-# partition invariants at 1, 8 and 24 cores on every kernel, prints
-# the cross-core ownership table, and re-checks doubled-run digest
-# determinism.
-echo "==> verify (write-scope lint + three-detector gate at 1/8/24 cores)"
-cargo build -q --release -p fastsocket-bench --bin lint --bin verify
-./target/release/lint --self-test
-./target/release/lint
+# Verification gate: the verify bin runs all three runtime detectors
+# (lockset, happens-before, shard certifier) plus strict partition
+# invariants at 1, 8 and 24 cores on every kernel, prints the
+# cross-core ownership table, and re-checks doubled-run digest
+# determinism. (tcp-stack's write scopes need no gate here: the window
+# and congestion-control fields are private to `window.rs` and `cc.rs`,
+# so the compiler enforces them.)
+echo "==> verify (three-detector gate at 1/8/24 cores)"
+cargo build -q --release -p fastsocket-bench --bin verify
 ./target/release/verify 0.1
 
 echo "All checks passed."

@@ -87,38 +87,6 @@ fn single_core_throughputs_are_close_across_kernels() {
 }
 
 #[test]
-fn report_digest_is_identical_across_schedulers_at_24_cores() {
-    // The timing-wheel scheduler is an implementation detail: the fig4a
-    // 24-core cell must produce bit-identical results (and therefore an
-    // identical report digest) under both event-queue backends.
-    for kernel in [
-        KernelSpec::BaseLinux,
-        KernelSpec::Linux313,
-        KernelSpec::Fastsocket,
-    ] {
-        let cfg = |sched| {
-            SimConfig::new(kernel.clone(), AppSpec::web(), 24)
-                .warmup_secs(0.02)
-                .measure_secs(0.06)
-                .concurrency(24 * 60)
-                .scheduler(sched)
-        };
-        let wheel = Simulation::new(cfg(sim_core::SchedulerKind::Wheel)).run();
-        let heap = Simulation::new(cfg(sim_core::SchedulerKind::Heap)).run();
-        assert_eq!(
-            wheel.results_digest(),
-            heap.results_digest(),
-            "{}: wheel and heap reports diverge",
-            wheel.kernel
-        );
-        assert_eq!(
-            wheel.config_hash, heap.config_hash,
-            "provenance must not fork"
-        );
-    }
-}
-
-#[test]
 fn no_connection_failures_under_normal_load() {
     for kernel in [
         KernelSpec::BaseLinux,
