@@ -26,7 +26,7 @@ fn run(local_first: bool, measure: f64) -> (u64, u64, u64) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(0.3, "ablate_accept_order");
+    let args = HarnessArgs::parse(0.3, "ablate_accept_order", &[]);
     println!("4-core Fastsocket web server, worker on core 1 crashed, saturating load\n");
     println!(
         "{:<22} {:>16} {:>10} {:>12}",

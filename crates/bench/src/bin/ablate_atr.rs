@@ -12,7 +12,7 @@ use fastsocket_bench::{pct, HarnessArgs};
 use sim_nic::AtrConfig;
 
 fn main() {
-    let args = HarnessArgs::parse(0.15, "ablate_atr");
+    let args = HarnessArgs::parse(0.15, "ablate_atr", &[]);
     let cores = 16;
     println!("ATR locality vs signature-table size (HAProxy, {cores} cores)\n");
     println!(

@@ -12,7 +12,7 @@ use fastsocket_bench::{kcps, HarnessArgs};
 use sim_sync::LockCosts;
 
 fn main() {
-    let args = HarnessArgs::parse(0.15, "ablate_lock_model");
+    let args = HarnessArgs::parse(0.15, "ablate_lock_model", &[]);
     let cores_list = args.cores.clone().unwrap_or_else(|| vec![8, 16, 24]);
     println!("base-kernel nginx throughput vs ticket-handoff cost");
     println!(

@@ -10,7 +10,7 @@ use fastsocket_bench::HarnessArgs;
 use sim_apps::proxy::ProxyConfig;
 
 fn main() {
-    let args = HarnessArgs::parse(0.15, "ablate_rfd_rules");
+    let args = HarnessArgs::parse(0.15, "ablate_rfd_rules", &[]);
     println!("RFD classification-rule usage (Fastsocket proxy, 8 cores)\n");
     println!(
         "{:>14} {:>12} {:>12} {:>12} {:>10} {:>8}",

@@ -11,7 +11,7 @@ use sim_os::vfs::VfsMode;
 use tcp_stack::stack::StackConfig;
 
 fn main() {
-    let args = HarnessArgs::parse(0.15, "ablate_vfs");
+    let args = HarnessArgs::parse(0.15, "ablate_vfs", &[]);
     let cores_list = args.cores.clone().unwrap_or_else(|| vec![8, 16, 24]);
     println!("HAProxy throughput with ONLY the VFS swapped (stock TCP tables)\n");
     println!(

@@ -22,17 +22,13 @@
 //! Full run: `bulk --json results/BENCH_bulk.json > results/bulk.txt`.
 
 use fastsocket::{AppSpec, DataPlaneConfig, KernelSpec, RunReport, SimConfig, Simulation};
-use fastsocket_bench::{assert_deterministic, kcps, read_artifact, write_artifact, HarnessArgs};
+use fastsocket_bench::{
+    assert_round_trip, gated_run, kcps, read_artifact, HarnessArgs, Mode, KERNELS,
+};
 use serde::{Deserialize, Serialize};
 use sim_nic::BatchConfig;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tcp_stack::CcAlgo;
-
-const KERNELS: [KernelSpec; 3] = [
-    KernelSpec::BaseLinux,
-    KernelSpec::Linux313,
-    KernelSpec::Fastsocket,
-];
 
 /// Response sizes swept per (kernel, cc) column: one-ish window, a
 /// 64 KiB page, and a quarter-megabyte object that must ACK-clock
@@ -63,7 +59,7 @@ impl Timing {
 }
 
 /// One (kernel, cc, response-size) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Cell {
     kernel: String,
     cc: String,
@@ -81,7 +77,7 @@ struct Cell {
 }
 
 /// The whole emitted artifact (`BENCH_bulk.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BulkBenchReport {
     measure_secs: f64,
     cores: u16,
@@ -138,25 +134,12 @@ fn run_cell(
     seed: u64,
     doubled: bool,
 ) -> Cell {
-    let cell = || run(kernel.clone(), cc, size, cores, t, check, seed);
-    let r = if doubled {
-        assert_deterministic(
-            format_args!("bulk {} {} {size}B", kernel.label(), cc.name()),
-            cell,
-            RunReport::results_digest,
-        )
-    } else {
-        cell()
-    };
-    if check {
-        let checks = r.checks.as_ref().expect("sanitizers were armed");
-        assert!(
-            checks.is_clean(),
-            "sanitizer findings at {} {} {size}B: {checks:?}",
-            kernel.label(),
-            cc.name()
-        );
-    }
+    let r = gated_run(
+        format_args!("bulk {} {} {size}B", kernel.label(), cc.name()),
+        doubled,
+        check,
+        || run(kernel.clone(), cc, size, cores, t, check, seed),
+    );
     let bulk = r.bulk.as_ref().expect("data plane was armed");
     assert_eq!(bulk.cc, cc.name(), "report credits the wrong controller");
     let dp = r.stack.dp.unwrap_or_default();
@@ -289,9 +272,8 @@ fn validate_full(path: &Path) {
     );
 }
 
-/// Short 2-core matrix under full sanitizers; emits its own bench
-/// artifact to a scratch path and re-parses it, so the writer and the
-/// schema cannot drift apart.
+/// Short 2-core matrix under full sanitizers; round-trips its own bench
+/// artifact through a scratch path.
 fn smoke() {
     let t = Timing::smoke();
     let report = sweep(2, t, true, 42);
@@ -322,35 +304,25 @@ fn smoke() {
             kernel.label()
         );
     }
-    let scratch = PathBuf::from("target/bulk-smoke/BENCH_bulk.json");
-    write_artifact(&report, &scratch);
-    let back: BulkBenchReport = read_artifact(&scratch, "bulk");
-    assert_eq!(back.cells.len(), report.cells.len());
-    for cell in &report.cells {
-        let round = back
-            .find(&cell.kernel, &cell.cc, cell.response_bytes)
-            .expect("bench artifact round-trip lost a cell");
-        assert_eq!(
-            round.results_digest, cell.results_digest,
-            "bench artifact round-trip drifted"
-        );
-    }
+    assert_round_trip(
+        &report,
+        Path::new("target/bulk-smoke/BENCH_bulk.json"),
+        "bulk",
+    );
     println!("\nbulk smoke clean: sanitizers quiet, reruns bit-identical, artifact round-trips.");
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--smoke") {
+    let args = HarnessArgs::parse(0.1, "BENCH_bulk", &[Mode::Smoke, Mode::Validate]);
+    if args.smoke {
         smoke();
         return;
     }
-    if let Some(i) = raw.iter().position(|a| a == "--validate") {
-        let path = raw.get(i + 1).expect("--validate <path>");
-        validate_full(Path::new(path));
+    if let Some(path) = &args.validate {
+        validate_full(path);
         return;
     }
 
-    let args = HarnessArgs::parse(0.1, "BENCH_bulk");
     let cores = args
         .cores
         .as_ref()

@@ -4,7 +4,8 @@
 //!
 //! Usage: `calibrate [app] [measure_secs]` where app = web | proxy.
 
-use fastsocket::{AppSpec, KernelSpec, SimConfig, Simulation};
+use fastsocket::{AppSpec, SimConfig, Simulation};
+use fastsocket_bench::KERNELS;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -29,11 +30,7 @@ fn main() {
         "rst",
         "tmo"
     );
-    for kernel in [
-        KernelSpec::BaseLinux,
-        KernelSpec::Linux313,
-        KernelSpec::Fastsocket,
-    ] {
+    for kernel in KERNELS {
         for &cores in &cores_list {
             let app = match app_name {
                 "proxy" => AppSpec::proxy(),

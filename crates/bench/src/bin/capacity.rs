@@ -26,23 +26,12 @@
 
 use fastsocket::{AppSpec, KernelSpec, OpenLoopConfig, RunReport, SimConfig, Simulation};
 use fastsocket_bench::{
-    assert_deterministic, kcps, pct, read_artifact, write_artifact, HarnessArgs,
+    assert_round_trip, climb, find_ladder, gated_run, kcps, meets_slo, pct, print_ladders,
+    read_artifact, sweep_ladders, HarnessArgs, Mode, SloLadder, SloRung, GOODPUT_FLOOR, KERNELS,
+    SLO_P99_US,
 };
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
-
-/// Connection-setup p99 budget (µs) a rung must meet.
-const SLO_P99_US: f64 = 1_000.0;
-/// Fraction of the offered rate that must complete within the window.
-const GOODPUT_FLOOR: f64 = 0.97;
-/// A ladder stops early after this many consecutive failing rungs.
-const EARLY_STOP: usize = 2;
-
-const KERNELS: [KernelSpec; 3] = [
-    KernelSpec::BaseLinux,
-    KernelSpec::Linux313,
-    KernelSpec::Fastsocket,
-];
+use std::path::Path;
 
 /// Offered-rate ladders (connections/sec), bracketing every kernel's
 /// closed-loop peak at that core count (fig4a) from well under to
@@ -82,7 +71,7 @@ impl Timing {
 }
 
 /// One (kernel, cores, offered-rate) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Rung {
     rate_cps: f64,
     throughput_cps: f64,
@@ -98,8 +87,23 @@ struct Rung {
     schedule_digest: String,
 }
 
+impl SloRung for Rung {
+    fn offered(&self) -> String {
+        kcps(self.rate_cps)
+    }
+    fn setup_p99_us(&self) -> f64 {
+        self.setup_p99_us
+    }
+    fn passed(&self) -> bool {
+        self.slo_pass
+    }
+    fn schedule_digest(&self) -> &str {
+        &self.schedule_digest
+    }
+}
+
 /// One kernel's climb at one core count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Ladder {
     kernel: String,
     cores: u16,
@@ -108,8 +112,28 @@ struct Ladder {
     rungs: Vec<Rung>,
 }
 
+impl SloLadder for Ladder {
+    type Rung = Rung;
+    const CURVE: &'static str = "latency-vs-load";
+    const MARK: &'static str = "SLO pass";
+    const AXIS: &'static str = "offered";
+    const SUMMARY: &'static str = "SLO capacity (max sustainable offered cps):";
+    fn kernel(&self) -> &str {
+        &self.kernel
+    }
+    fn cores(&self) -> u16 {
+        self.cores
+    }
+    fn rungs(&self) -> &[Rung] {
+        &self.rungs
+    }
+    fn result(&self) -> String {
+        kcps(self.slo_capacity_cps)
+    }
+}
+
 /// The whole emitted artifact (`BENCH_capacity.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CapacityReport {
     measure_secs: f64,
     slo_p99_us: f64,
@@ -120,10 +144,7 @@ struct CapacityReport {
 
 impl CapacityReport {
     fn capacity(&self, kernel: &str, cores: u16) -> Option<f64> {
-        self.ladders
-            .iter()
-            .find(|l| l.kernel == kernel && l.cores == cores)
-            .map(|l| l.slo_capacity_cps)
+        find_ladder(&self.ladders, kernel, cores).map(|l| l.slo_capacity_cps)
     }
 }
 
@@ -141,7 +162,7 @@ fn cell(kernel: KernelSpec, cores: u16, rate: f64, t: Timing, check: bool, seed:
 /// Runs one rung; `doubled` repeats it with the same seed and asserts
 /// the reproducibility gate (bit-identical results and schedule).
 fn run_rung(
-    kernel: KernelSpec,
+    kernel: &KernelSpec,
     cores: u16,
     rate: f64,
     t: Timing,
@@ -149,34 +170,15 @@ fn run_rung(
     seed: u64,
     doubled: bool,
 ) -> Rung {
-    let run = || cell(kernel.clone(), cores, rate, t, check, seed);
-    let r = if doubled {
-        assert_deterministic(
-            format_args!("open loop {} {cores}c @{}", kernel.label(), kcps(rate)),
-            run,
-            |r| {
-                (
-                    r.results_digest(),
-                    r.load.as_ref().unwrap().schedule_digest.clone(),
-                )
-            },
-        )
-    } else {
-        run()
-    };
-    if check {
-        let checks = r.checks.as_ref().expect("sanitizers were armed");
-        assert!(
-            checks.is_clean(),
-            "sanitizer findings at {} {cores}c @{}: {checks:?}",
-            kernel.label(),
-            kcps(rate)
-        );
-    }
+    let r = gated_run(
+        format_args!("open loop {} {cores}c @{}", kernel.label(), kcps(rate)),
+        doubled,
+        check,
+        || cell(kernel.clone(), cores, rate, t, check, seed),
+    );
     let load = r.load.as_ref().expect("open-loop run reports load");
     let lat = r.latency.as_ref().expect("trace was on");
     let goodput = r.throughput_cps / rate;
-    let slo_pass = lat.setup.p99_us <= SLO_P99_US && goodput >= GOODPUT_FLOOR;
     Rung {
         rate_cps: rate,
         throughput_cps: r.throughput_cps,
@@ -186,86 +188,40 @@ fn run_rung(
         abandoned: load.abandoned_wait + load.abandoned_connect,
         timeouts: r.timeouts,
         peak_backlog: load.peak_backlog,
-        slo_pass,
+        slo_pass: meets_slo(lat.setup.p99_us, goodput),
         schedule_digest: load.schedule_digest.clone(),
     }
 }
 
-/// Climbs the ladder for one kernel, stopping after [`EARLY_STOP`]
-/// consecutive SLO failures (the curve only gets worse from there).
-fn climb(
-    kernel: KernelSpec,
-    cores: u16,
-    rates: &[f64],
-    t: Timing,
-    check: bool,
-    seed: u64,
-) -> Ladder {
-    let mut rungs = Vec::new();
-    let mut fails = 0usize;
-    for (i, &rate) in rates.iter().enumerate() {
-        let rung = run_rung(kernel.clone(), cores, rate, t, check, seed, i == 0);
-        eprintln!(
-            "  {:<12} {cores:>2}c @{:>6}: {:>6} cps  p99 {:>8.1}µs  goodput {}  {}",
-            kernel.label(),
-            kcps(rate),
-            kcps(rung.throughput_cps),
-            rung.setup_p99_us,
-            pct(rung.goodput),
-            if rung.slo_pass { "pass" } else { "FAIL" }
-        );
-        fails = if rung.slo_pass { 0 } else { fails + 1 };
-        rungs.push(rung);
-        if fails >= EARLY_STOP {
-            break;
-        }
-    }
-    let slo_capacity_cps = rungs
-        .iter()
-        .filter(|r| r.slo_pass)
-        .map(|r| r.rate_cps)
-        .fold(0.0, f64::max);
-    Ladder {
-        kernel: kernel.label().to_string(),
-        cores,
-        slo_capacity_cps,
-        rungs,
-    }
-}
-
-/// Every kernel on a rung must have served the byte-identical arrival
-/// schedule — the offered load is a property of the seed, not the
-/// kernel under test.
-fn assert_shared_schedule(ladders: &[Ladder]) {
-    for cores in ladders.iter().map(|l| l.cores).collect::<Vec<_>>() {
-        let cohort: Vec<&Ladder> = ladders.iter().filter(|l| l.cores == cores).collect();
-        let Some(first) = cohort.first() else {
-            continue;
-        };
-        for l in &cohort[1..] {
-            for (a, b) in first.rungs.iter().zip(l.rungs.iter()) {
-                assert_eq!(
-                    a.schedule_digest,
-                    b.schedule_digest,
-                    "kernel {} saw a different arrival schedule than {} at {cores} cores @{}",
-                    l.kernel,
-                    first.kernel,
-                    kcps(a.rate_cps)
-                );
-            }
-        }
-    }
-}
-
+/// Climbs every kernel's rate ladder at every core count, each ladder
+/// stopping early once the SLO keeps failing.
 fn sweep(core_counts: &[u16], t: Timing, check: bool, seed: u64) -> CapacityReport {
-    let mut ladders = Vec::new();
-    for &cores in core_counts {
-        let rates = ladder_rates(cores);
-        for kernel in KERNELS {
-            ladders.push(climb(kernel, cores, &rates, t, check, seed));
+    let ladders = sweep_ladders(core_counts, |kernel, cores| {
+        let rungs = climb(&ladder_rates(cores), true, |&rate, doubled| {
+            let rung = run_rung(&kernel, cores, rate, t, check, seed, doubled);
+            eprintln!(
+                "  {:<12} {cores:>2}c @{:>6}: {:>6} cps  p99 {:>8.1}µs  goodput {}  {}",
+                kernel.label(),
+                kcps(rate),
+                kcps(rung.throughput_cps),
+                rung.setup_p99_us,
+                pct(rung.goodput),
+                if rung.slo_pass { "pass" } else { "FAIL" }
+            );
+            rung
+        });
+        let slo_capacity_cps = rungs
+            .iter()
+            .filter(|r| r.slo_pass)
+            .map(|r| r.rate_cps)
+            .fold(0.0, f64::max);
+        Ladder {
+            kernel: kernel.label().to_string(),
+            cores,
+            slo_capacity_cps,
+            rungs,
         }
-    }
-    assert_shared_schedule(&ladders);
+    });
     CapacityReport {
         measure_secs: t.measure,
         slo_p99_us: SLO_P99_US,
@@ -284,41 +240,7 @@ fn print_report(report: &CapacityReport, core_counts: &[u16]) {
         report.measure_secs
     );
     println!();
-    for &cores in core_counts {
-        println!("latency-vs-load at {cores} cores (setup p99 µs; * = SLO pass):");
-        let cohort: Vec<&Ladder> = report.ladders.iter().filter(|l| l.cores == cores).collect();
-        let Some(longest) = cohort.iter().max_by_key(|l| l.rungs.len()) else {
-            continue;
-        };
-        print!("{:<14}", "offered");
-        for r in &longest.rungs {
-            print!("{:>10}", kcps(r.rate_cps));
-        }
-        println!();
-        for l in &cohort {
-            print!("{:<14}", l.kernel);
-            for r in &l.rungs {
-                let mark = if r.slo_pass { "*" } else { "" };
-                print!("{:>10}", format!("{:.0}{mark}", r.setup_p99_us));
-            }
-            println!();
-        }
-        println!();
-    }
-    println!("SLO capacity (max sustainable offered cps):");
-    print!("{:<14}", "kernel");
-    for &cores in core_counts {
-        print!("{:>12}", format!("{cores} cores"));
-    }
-    println!();
-    for kernel in KERNELS {
-        print!("{:<14}", kernel.label());
-        for &cores in core_counts {
-            let v = report.capacity(kernel.label(), cores).unwrap_or(0.0);
-            print!("{:>12}", kcps(v));
-        }
-        println!();
-    }
+    print_ladders(&report.ladders, core_counts);
 }
 
 /// Schema + ordering gate for a full-matrix artifact: all three
@@ -362,12 +284,10 @@ fn validate_full(path: &Path) {
     );
 }
 
-/// Short 2-core ladder under full sanitizers; emits its own bench
-/// artifact to a scratch path and re-parses it, so the writer and the
-/// schema cannot drift apart.
+/// Short 2-core ladder under full sanitizers; round-trips its own
+/// bench artifact through a scratch path.
 fn smoke() {
-    let t = Timing::smoke();
-    let report = sweep(&[2], t, true, 42);
+    let report = sweep(&[2], Timing::smoke(), true, 42);
     print_report(&report, &[2]);
     for l in &report.ladders {
         assert!(
@@ -381,37 +301,27 @@ fn smoke() {
             l.kernel
         );
     }
-    let scratch = PathBuf::from("target/capacity-smoke/BENCH_capacity.json");
-    write_artifact(&report, &scratch);
-    let back: CapacityReport = read_artifact(&scratch, "capacity");
-    assert_eq!(back.ladders.len(), report.ladders.len());
-    for cores in [2u16] {
-        for kernel in KERNELS {
-            assert_eq!(
-                back.capacity(kernel.label(), cores),
-                report.capacity(kernel.label(), cores),
-                "bench artifact round-trip drifted"
-            );
-        }
-    }
+    assert_round_trip(
+        &report,
+        Path::new("target/capacity-smoke/BENCH_capacity.json"),
+        "capacity",
+    );
     println!(
         "\ncapacity smoke clean: sanitizers quiet, reruns bit-identical, artifact round-trips."
     );
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--smoke") {
+    let args = HarnessArgs::parse(0.25, "BENCH_capacity", &[Mode::Smoke, Mode::Validate]);
+    if args.smoke {
         smoke();
         return;
     }
-    if let Some(i) = raw.iter().position(|a| a == "--validate") {
-        let path = raw.get(i + 1).expect("--validate <path>");
-        validate_full(Path::new(path));
+    if let Some(path) = &args.validate {
+        validate_full(path);
         return;
     }
 
-    let args = HarnessArgs::parse(0.25, "BENCH_capacity");
     let core_counts: Vec<u16> = args.cores.clone().unwrap_or_else(|| vec![8, 24]);
     let t = Timing::full(args.measure_secs);
     eprintln!(

@@ -18,7 +18,7 @@ use fastsocket::{
     AppSpec, FaultRecord, FaultSchedule, KernelSpec, RobustnessReport, RunReport, SimConfig,
     Simulation,
 };
-use fastsocket_bench::{assert_deterministic, kcps, pct, HarnessArgs};
+use fastsocket_bench::{assert_deterministic, fmt_recover, kcps, pct, HarnessArgs, Mode, KERNELS};
 use serde::Serialize;
 use sim_core::secs_to_cycles;
 
@@ -197,13 +197,6 @@ fn run_cell(kernel: KernelSpec, scenario: Scenario, t: Timing, check: bool) -> (
     (a, row)
 }
 
-fn fmt_recover(rec: &FaultRecord) -> String {
-    match rec.time_to_recover {
-        Some(c) => format!("{:.1}ms", c as f64 / secs_to_cycles(1.0) as f64 * 1_000.0),
-        None => "NEVER".to_string(),
-    }
-}
-
 fn smoke() {
     // One short schedule per kernel, sanitizers armed: the stock
     // kernels ride out a loss burst, Fastsocket a worker crash with
@@ -244,11 +237,11 @@ fn smoke() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
+    let args = HarnessArgs::parse(0.3, "robustness", &[Mode::Smoke]);
+    if args.smoke {
         smoke();
         return;
     }
-    let args = HarnessArgs::parse(0.3, "robustness");
     let t = Timing::full(args.measure_secs);
     println!(
         "chaos matrix: 3 kernels × 4 fault scenarios, {:.2}s windows, \
@@ -272,11 +265,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut texts: Vec<String> = Vec::new();
     for scenario in Scenario::ALL {
-        for kernel in [
-            KernelSpec::BaseLinux,
-            KernelSpec::Linux313,
-            KernelSpec::Fastsocket,
-        ] {
+        for kernel in KERNELS {
             let (report, row) = run_cell(kernel, scenario, t, false);
             println!(
                 "{:<22} {:<14} {:>9} {:>9} {:>7} {:>9} {:>8} {:>7} {:>7} {:>8}",

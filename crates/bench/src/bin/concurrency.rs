@@ -35,25 +35,18 @@
 use fastsocket::{
     AppSpec, KernelSpec, LongLivedMix, MemConfig, OpenLoopConfig, RunReport, SimConfig, Simulation,
 };
-use fastsocket_bench::{assert_deterministic, pct, read_artifact, write_artifact, HarnessArgs};
+use fastsocket_bench::{
+    assert_round_trip, climb, find_ladder, gated_run, meets_slo, pct, print_ladders, read_artifact,
+    sweep_ladders, HarnessArgs, Mode, SloLadder, SloRung, GOODPUT_FLOOR, KERNELS, SLO_P99_US,
+};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Connection-setup p99 budget (µs) a rung must meet.
-const SLO_P99_US: f64 = 1_000.0;
-/// Fraction of the offered rate that must complete within the window.
-const GOODPUT_FLOOR: f64 = 0.97;
 /// A rung only counts as *held* when the ledger's peak reached this
 /// fraction of the target population.
 const REACH_FLOOR: f64 = 0.90;
 /// Fraction of arrivals that hold their connection open.
 const HELD_FRACTION: f64 = 0.9;
-
-const KERNELS: [KernelSpec; 3] = [
-    KernelSpec::BaseLinux,
-    KernelSpec::Linux313,
-    KernelSpec::Fastsocket,
-];
 
 /// Window lengths, hold time and modeling scale for one ladder shape.
 #[derive(Debug, Clone, Copy)]
@@ -104,7 +97,7 @@ fn ladder_targets(smoke: bool) -> Vec<u64> {
 }
 
 /// One (kernel, cores, target-concurrency) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Rung {
     /// Modeled concurrent sockets this rung tries to hold.
     target_sockets: u64,
@@ -134,8 +127,23 @@ struct Rung {
     schedule_digest: String,
 }
 
+impl SloRung for Rung {
+    fn offered(&self) -> String {
+        msock(self.target_sockets)
+    }
+    fn setup_p99_us(&self) -> f64 {
+        self.setup_p99_us
+    }
+    fn passed(&self) -> bool {
+        self.slo_pass && self.reached
+    }
+    fn schedule_digest(&self) -> &str {
+        &self.schedule_digest
+    }
+}
+
 /// One kernel's climb at one core count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Ladder {
     kernel: String,
     cores: u16,
@@ -144,8 +152,29 @@ struct Ladder {
     rungs: Vec<Rung>,
 }
 
+impl SloLadder for Ladder {
+    type Rung = Rung;
+    const CURVE: &'static str = "held-vs-target";
+    const MARK: &'static str = "pass";
+    const AXIS: &'static str = "target";
+    const SUMMARY: &'static str =
+        "max held modeled sockets (SLO met, population held, ledger balanced):";
+    fn kernel(&self) -> &str {
+        &self.kernel
+    }
+    fn cores(&self) -> u16 {
+        self.cores
+    }
+    fn rungs(&self) -> &[Rung] {
+        &self.rungs
+    }
+    fn result(&self) -> String {
+        msock(self.max_sockets)
+    }
+}
+
 /// The whole emitted artifact (`BENCH_concurrency.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ConcurrencyReport {
     measure_secs: f64,
     slo_p99_us: f64,
@@ -160,10 +189,7 @@ struct ConcurrencyReport {
 
 impl ConcurrencyReport {
     fn max_sockets(&self, kernel: &str, cores: u16) -> Option<u64> {
-        self.ladders
-            .iter()
-            .find(|l| l.kernel == kernel && l.cores == cores)
-            .map(|l| l.max_sockets)
+        find_ladder(&self.ladders, kernel, cores).map(|l| l.max_sockets)
     }
 }
 
@@ -176,6 +202,12 @@ fn msock(n: u64) -> String {
     }
 }
 
+/// Offered rate (cps) whose standing population — rate × held
+/// fraction × hold, by Little's law — is the rung's target.
+fn offered_rate(target: u64, s: Shape) -> f64 {
+    (target / u64::from(s.scale)) as f64 / (HELD_FRACTION * s.hold_secs)
+}
+
 fn cell(
     kernel: KernelSpec,
     cores: u16,
@@ -183,15 +215,11 @@ fn cell(
     s: Shape,
     check: bool,
     seed: u64,
-) -> (RunReport, f64) {
-    // Standing population = rate x held_fraction x hold (Little's law),
-    // so the offered rate is derived from the rung's target.
-    let sim_target = target / u64::from(s.scale);
-    let rate = sim_target as f64 / (HELD_FRACTION * s.hold_secs);
+) -> RunReport {
     // 2x headroom over the standing population: arrivals that find
     // every slot busy are abandoned, which is a client-pool artifact,
     // not the kernel's fault.
-    let population = u32::try_from(sim_target * 2).expect("population fits u32");
+    let population = u32::try_from(target / u64::from(s.scale) * 2).expect("population fits u32");
     let cfg = SimConfig::new(kernel, AppSpec::web(), cores)
         .warmup_secs(s.warmup)
         .measure_secs(s.measure)
@@ -200,17 +228,17 @@ fn cell(
         .check(check)
         .mem(MemConfig::ram_mb(s.ram_mb).scaled(s.scale))
         .open_loop(
-            OpenLoopConfig::poisson(rate)
+            OpenLoopConfig::poisson(offered_rate(target, s))
                 .population(population)
                 .longlived(LongLivedMix::fraction_held(HELD_FRACTION, s.hold_secs)),
         );
-    (Simulation::new(cfg).run(), rate)
+    Simulation::new(cfg).run()
 }
 
 /// Runs one rung; `doubled` repeats it with the same seed and asserts
 /// the reproducibility gate (bit-identical results and schedule).
 fn run_rung(
-    kernel: KernelSpec,
+    kernel: &KernelSpec,
     cores: u16,
     target: u64,
     s: Shape,
@@ -218,36 +246,17 @@ fn run_rung(
     seed: u64,
     doubled: bool,
 ) -> Rung {
-    let run = || cell(kernel.clone(), cores, target, s, check, seed);
-    let (r, rate) = if doubled {
-        assert_deterministic(
-            format_args!("concurrency {} {cores}c @{}", kernel.label(), msock(target)),
-            run,
-            |(r, _)| {
-                (
-                    r.results_digest(),
-                    r.load.as_ref().unwrap().schedule_digest.clone(),
-                )
-            },
-        )
-    } else {
-        run()
-    };
-    if check {
-        let checks = r.checks.as_ref().expect("sanitizers were armed");
-        assert!(
-            checks.is_clean(),
-            "sanitizer findings at {} {cores}c @{}: {checks:?}",
-            kernel.label(),
-            msock(target)
-        );
-    }
+    let r = gated_run(
+        format_args!("concurrency {} {cores}c @{}", kernel.label(), msock(target)),
+        doubled,
+        check,
+        || cell(kernel.clone(), cores, target, s, check, seed),
+    );
     let load = r.load.as_ref().expect("open-loop run reports load");
     let lat = r.latency.as_ref().expect("trace was on");
     let mem = r.mem.as_ref().expect("ledger was armed");
+    let rate = offered_rate(target, s);
     let goodput = r.throughput_cps / rate;
-    let slo_pass = lat.setup.p99_us <= SLO_P99_US && goodput >= GOODPUT_FLOOR;
-    let reached = mem.peak_sockets as f64 >= REACH_FLOOR * target as f64;
     Rung {
         target_sockets: target,
         rate_cps: rate,
@@ -265,89 +274,15 @@ fn run_rung(
         orphans_killed: mem.stats.orphans_killed,
         enter_pressure: mem.stats.enter_pressure,
         balanced: mem.balanced,
-        reached,
-        slo_pass,
+        reached: mem.peak_sockets as f64 >= REACH_FLOOR * target as f64,
+        slo_pass: meets_slo(lat.setup.p99_us, goodput),
         schedule_digest: load.schedule_digest.clone(),
     }
 }
 
-/// Climbs the full target ladder for one kernel (no early stop: the
-/// top rungs are exactly where the pressure reactions live).
-fn climb(
-    kernel: KernelSpec,
-    cores: u16,
-    targets: &[u64],
-    s: Shape,
-    check: bool,
-    seed: u64,
-) -> Ladder {
-    let mut rungs = Vec::new();
-    for (i, &target) in targets.iter().enumerate() {
-        let rung = run_rung(kernel.clone(), cores, target, s, check, seed, i == 0);
-        eprintln!(
-            "  {:<12} {cores:>2}c @{:>6}: held {:>6}  p99 {:>8.1}µs  goodput {}  {}{}",
-            kernel.label(),
-            msock(target),
-            msock(rung.peak_sockets),
-            rung.setup_p99_us,
-            pct(rung.goodput),
-            if rung.slo_pass && rung.reached {
-                "pass"
-            } else {
-                "FAIL"
-            },
-            if rung.enter_pressure > 0 {
-                "  [pressure]"
-            } else {
-                ""
-            }
-        );
-        assert!(
-            rung.balanced,
-            "{} {cores}c @{}: memory accounts did not balance at drain",
-            kernel.label(),
-            msock(target)
-        );
-        rungs.push(rung);
-    }
-    let max_sockets = rungs
-        .iter()
-        .filter(|r| r.slo_pass && r.reached)
-        .map(|r| r.target_sockets)
-        .max()
-        .unwrap_or(0);
-    Ladder {
-        kernel: kernel.label().to_string(),
-        cores,
-        max_sockets,
-        rungs,
-    }
-}
-
-/// Every kernel on a rung must have served the byte-identical arrival
-/// schedule — the offered load is a property of the seed, not the
-/// kernel under test.
-fn assert_shared_schedule(ladders: &[Ladder]) {
-    for cores in ladders.iter().map(|l| l.cores).collect::<Vec<_>>() {
-        let cohort: Vec<&Ladder> = ladders.iter().filter(|l| l.cores == cores).collect();
-        let Some(first) = cohort.first() else {
-            continue;
-        };
-        for l in &cohort[1..] {
-            for (a, b) in first.rungs.iter().zip(l.rungs.iter()) {
-                assert_eq!(
-                    a.schedule_digest,
-                    b.schedule_digest,
-                    "kernel {} saw a different arrival schedule than {} at {cores} cores @{}",
-                    l.kernel,
-                    first.kernel,
-                    msock(a.target_sockets)
-                );
-            }
-        }
-    }
-}
-
+/// Climbs every kernel's full target ladder at every core count (no
+/// early stop: the top rungs are exactly where the pressure reactions
+/// live).
 fn sweep(
     core_counts: &[u16],
     targets: &[u64],
@@ -355,13 +290,44 @@ fn sweep(
     check: bool,
     seed: u64,
 ) -> ConcurrencyReport {
-    let mut ladders = Vec::new();
-    for &cores in core_counts {
-        for kernel in KERNELS {
-            ladders.push(climb(kernel, cores, targets, s, check, seed));
+    let ladders = sweep_ladders(core_counts, |kernel, cores| {
+        let rungs = climb(targets, false, |&target, doubled| {
+            let rung = run_rung(&kernel, cores, target, s, check, seed, doubled);
+            eprintln!(
+                "  {:<12} {cores:>2}c @{:>6}: held {:>6}  p99 {:>8.1}µs  goodput {}  {}{}",
+                kernel.label(),
+                msock(target),
+                msock(rung.peak_sockets),
+                rung.setup_p99_us,
+                pct(rung.goodput),
+                if rung.passed() { "pass" } else { "FAIL" },
+                if rung.enter_pressure > 0 {
+                    "  [pressure]"
+                } else {
+                    ""
+                }
+            );
+            assert!(
+                rung.balanced,
+                "{} {cores}c @{}: memory accounts did not balance at drain",
+                kernel.label(),
+                msock(target)
+            );
+            rung
+        });
+        let max_sockets = rungs
+            .iter()
+            .filter(|r| r.passed())
+            .map(|r| r.target_sockets)
+            .max()
+            .unwrap_or(0);
+        Ladder {
+            kernel: kernel.label().to_string(),
+            cores,
+            max_sockets,
+            rungs,
         }
-    }
-    assert_shared_schedule(&ladders);
+    });
     ConcurrencyReport {
         measure_secs: s.measure,
         slo_p99_us: SLO_P99_US,
@@ -384,41 +350,7 @@ fn print_report(report: &ConcurrencyReport, core_counts: &[u16]) {
         report.measure_secs
     );
     println!();
-    for &cores in core_counts {
-        println!("held-vs-target at {cores} cores (setup p99 µs; * = pass):");
-        let cohort: Vec<&Ladder> = report.ladders.iter().filter(|l| l.cores == cores).collect();
-        let Some(longest) = cohort.iter().max_by_key(|l| l.rungs.len()) else {
-            continue;
-        };
-        print!("{:<14}", "target");
-        for r in &longest.rungs {
-            print!("{:>10}", msock(r.target_sockets));
-        }
-        println!();
-        for l in &cohort {
-            print!("{:<14}", l.kernel);
-            for r in &l.rungs {
-                let mark = if r.slo_pass && r.reached { "*" } else { "" };
-                print!("{:>10}", format!("{:.0}{mark}", r.setup_p99_us));
-            }
-            println!();
-        }
-        println!();
-    }
-    println!("max held modeled sockets (SLO met, population held, ledger balanced):");
-    print!("{:<14}", "kernel");
-    for &cores in core_counts {
-        print!("{:>12}", format!("{cores} cores"));
-    }
-    println!();
-    for kernel in KERNELS {
-        print!("{:<14}", kernel.label());
-        for &cores in core_counts {
-            let v = report.max_sockets(kernel.label(), cores).unwrap_or(0);
-            print!("{:>12}", msock(v));
-        }
-        println!();
-    }
+    print_ladders(&report.ladders, core_counts);
 }
 
 /// Schema gate for a full artifact: all three kernels at 8 cores,
@@ -477,8 +409,7 @@ fn validate_full(path: &Path) {
 
 /// Short 2-core ladder under full sanitizers against a deliberately
 /// tight 256 MiB budget, so the top rung crosses into the pressure
-/// zone; emits its own bench artifact to a scratch path and re-parses
-/// it, so the writer and the schema cannot drift apart.
+/// zone; round-trips its own bench artifact through a scratch path.
 fn smoke() {
     let s = Shape::smoke();
     let targets = ladder_targets(true);
@@ -488,11 +419,6 @@ fn smoke() {
         assert!(
             l.max_sockets > 0,
             "{} @ 2 cores never held a rung in smoke",
-            l.kernel
-        );
-        assert!(
-            l.rungs.iter().all(|r| r.balanced),
-            "{} left an unbalanced ledger",
             l.kernel
         );
         let top = l.rungs.last().expect("ladder has rungs");
@@ -506,17 +432,11 @@ fn smoke() {
             );
         }
     }
-    let scratch = PathBuf::from("target/concurrency-smoke/BENCH_concurrency.json");
-    write_artifact(&report, &scratch);
-    let back: ConcurrencyReport = read_artifact(&scratch, "concurrency");
-    assert_eq!(back.ladders.len(), report.ladders.len());
-    for kernel in KERNELS {
-        assert_eq!(
-            back.max_sockets(kernel.label(), 2),
-            report.max_sockets(kernel.label(), 2),
-            "bench artifact round-trip drifted"
-        );
-    }
+    assert_round_trip(
+        &report,
+        Path::new("target/concurrency-smoke/BENCH_concurrency.json"),
+        "concurrency",
+    );
     println!(
         "\nconcurrency smoke clean: sanitizers quiet, ledger balanced, \
          reruns bit-identical, artifact round-trips."
@@ -524,18 +444,16 @@ fn smoke() {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--smoke") {
+    let args = HarnessArgs::parse(0.3, "BENCH_concurrency", &[Mode::Smoke, Mode::Validate]);
+    if args.smoke {
         smoke();
         return;
     }
-    if let Some(i) = raw.iter().position(|a| a == "--validate") {
-        let path = raw.get(i + 1).expect("--validate <path>");
-        validate_full(Path::new(path));
+    if let Some(path) = &args.validate {
+        validate_full(path);
         return;
     }
 
-    let args = HarnessArgs::parse(0.3, "BENCH_concurrency");
     let core_counts: Vec<u16> = args.cores.clone().unwrap_or_else(|| vec![8]);
     let s = Shape::full(args.measure_secs);
     let targets = ladder_targets(false);

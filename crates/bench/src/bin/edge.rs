@@ -17,7 +17,7 @@
 use fastsocket::{
     AppSpec, EdgeReport, FaultRecord, FaultSchedule, KernelSpec, RunReport, SimConfig, Simulation,
 };
-use fastsocket_bench::{assert_deterministic, kcps, pct, HarnessArgs};
+use fastsocket_bench::{assert_deterministic, fmt_recover, kcps, pct, HarnessArgs, Mode, KERNELS};
 use serde::Serialize;
 use sim_apps::edge::EdgeConfig;
 use sim_core::secs_to_cycles;
@@ -174,13 +174,6 @@ fn run_cell(
     (a, row)
 }
 
-fn fmt_recover(rec: &FaultRecord) -> String {
-    match rec.time_to_recover {
-        Some(c) => format!("{:.1}ms", c as f64 / secs_to_cycles(1.0) as f64 * 1_000.0),
-        None => "NEVER".to_string(),
-    }
-}
-
 fn smoke() {
     // One short cell per kernel with all five sim-check detectors
     // armed. Any sanitizer finding or lost request is fatal.
@@ -219,11 +212,11 @@ fn smoke() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
+    let args = HarnessArgs::parse(0.3, "edge", &[Mode::Smoke]);
+    if args.smoke {
         smoke();
         return;
     }
-    let args = HarnessArgs::parse(0.3, "edge");
     let t = Timing::full(args.measure_secs);
     println!(
         "edge matrix: 3 kernels × 2 defenses × 3 scenarios, {:.2}s windows, \
@@ -248,11 +241,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut texts: Vec<String> = Vec::new();
     for scenario in Scenario::ALL {
-        for kernel in [
-            KernelSpec::BaseLinux,
-            KernelSpec::Linux313,
-            KernelSpec::Fastsocket,
-        ] {
+        for kernel in KERNELS {
             for early_drop in [false, true] {
                 let (report, row) = run_cell(kernel.clone(), scenario, early_drop, t, false);
                 println!(
@@ -291,7 +280,7 @@ fn main() {
             .find(|r| r.scenario == s.label() && r.kernel == k && r.early_drop == d)
             .expect("matrix is complete")
     };
-    for kernel in ["base-2.6.32", "linux-3.13", "fastsocket"] {
+    for kernel in KERNELS.map(|k| k.label()) {
         // Backend crash: with retry budget >= 1 every request that hit
         // the dead backend is re-dispatched — zero lost end to end.
         for d in [false, true] {
@@ -333,7 +322,7 @@ fn main() {
     );
 
     println!("\nverdicts:");
-    for kernel in ["base-2.6.32", "linux-3.13", "fastsocket"] {
+    for kernel in KERNELS.map(|k| k.label()) {
         let crash = find(Scenario::BackendCrash, kernel, false);
         let nodef = find(Scenario::SynFlood, kernel, false);
         let def = find(Scenario::SynFlood, kernel, true);

@@ -6,7 +6,7 @@ use fastsocket::experiments::fig3::{self, PAPER_CAPACITY_IMPROVEMENT};
 use fastsocket_bench::{pct, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse(0.2, "fig3");
+    let args = HarnessArgs::parse(0.2, "fig3", &[]);
     let cores = args
         .cores
         .as_ref()

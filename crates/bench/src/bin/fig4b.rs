@@ -2,10 +2,10 @@
 
 use fastsocket::experiments::fig4::{self, CORE_COUNTS, PAPER_AT_24};
 use fastsocket::AppSpec;
-use fastsocket_bench::{kcps, HarnessArgs};
+use fastsocket_bench::{kcps, HarnessArgs, KERNELS};
 
 fn main() {
-    let args = HarnessArgs::parse(0.2, "fig4b");
+    let args = HarnessArgs::parse(0.2, "fig4b", &[]);
     let cores = args.cores.clone().unwrap_or_else(|| CORE_COUNTS.to_vec());
     eprintln!(
         "Figure 4(b): HAProxy throughput sweep (cores {cores:?}, {}s windows)...",
@@ -19,7 +19,7 @@ fn main() {
         print!("{:>10}", format!("{c} cores"));
     }
     println!();
-    for kernel in ["base-2.6.32", "linux-3.13", "fastsocket"] {
+    for kernel in KERNELS.map(|k| k.label()) {
         print!("{kernel:<14}");
         for &c in &cores {
             let v = fig.at(kernel, c).map_or(0.0, |p| p.cps);

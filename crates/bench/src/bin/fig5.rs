@@ -5,7 +5,7 @@ use fastsocket::experiments::fig5::{self, PAPER};
 use fastsocket_bench::{kcps, pct, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse(0.25, "fig5");
+    let args = HarnessArgs::parse(0.25, "fig5", &[]);
     let cores = args
         .cores
         .as_ref()

@@ -20,7 +20,7 @@ fn run(batching: bool, zero_copy: bool, cores: u16, measure: f64) -> f64 {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(0.2, "future_work");
+    let args = HarnessArgs::parse(0.2, "future_work", &[]);
     let cores = args
         .cores
         .as_ref()

@@ -11,7 +11,7 @@ use fastsocket::{AppSpec, KernelSpec, SimConfig, Simulation};
 use fastsocket_bench::{kcps, pct, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse(0.2, "isostack");
+    let args = HarnessArgs::parse(0.2, "isostack", &[]);
     let cores_list = args.cores.clone().unwrap_or_else(|| vec![4, 8, 16, 24]);
     println!("web server throughput: IsoStack (dedicated stack core) vs Fastsocket\n");
     println!(

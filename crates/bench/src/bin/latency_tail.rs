@@ -9,7 +9,7 @@
 //! `.folded` text.
 
 use fastsocket::{AppSpec, KernelSpec, SimConfig, Simulation};
-use fastsocket_bench::HarnessArgs;
+use fastsocket_bench::{HarnessArgs, KERNELS};
 use serde::Serialize;
 use sim_core::usecs_to_cycles;
 use sim_trace::{LatencyReport, Tracer};
@@ -86,20 +86,15 @@ fn dump_trace(tracer: &Tracer, kernel: &str, cores: u16) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(0.2, "latency_tail");
+    let args = HarnessArgs::parse(0.2, "latency_tail", &[]);
     let cores = args.cores.clone().unwrap_or_else(|| DEFAULT_CORES.to_vec());
-    let kernels = [
-        KernelSpec::BaseLinux,
-        KernelSpec::Linux313,
-        KernelSpec::Fastsocket,
-    ];
     eprintln!(
         "Tail latency sweep: connection setup percentiles (cores {cores:?}, {}s windows)...",
         args.measure_secs
     );
 
     let mut out = LatencyTail::default();
-    for kernel in &kernels {
+    for kernel in &KERNELS {
         for &c in &cores {
             let Some((point, tracer)) = run_one(kernel, c, args.measure_secs) else {
                 eprintln!(

@@ -6,7 +6,7 @@ use fastsocket::experiments::micro;
 use fastsocket_bench::{pct, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse(0.25, "lock_cycles");
+    let args = HarnessArgs::parse(0.25, "lock_cycles", &[]);
     let cores = args
         .cores
         .as_ref()

@@ -51,7 +51,7 @@ fn cell(kernel: KernelSpec, cores: u16, requests_per_conn: u32, measure: f64) ->
 }
 
 fn main() {
-    let args = HarnessArgs::parse(0.2, "longlived");
+    let args = HarnessArgs::parse(0.2, "longlived", &[]);
     let cores_list = args.cores.clone().unwrap_or_else(|| vec![1, 8, 16, 24]);
     println!("requests/sec, short-lived (1 req/conn) vs long-lived (64 req/conn)\n");
     println!(

@@ -20,7 +20,7 @@
 //! every sanitizer armed, digest-asserted against the serial executor.
 
 use fastsocket::{effective_lanes, run_sharded, AppSpec, KernelSpec, ParConfig, SimConfig};
-use fastsocket_bench::{kcps, HarnessArgs};
+use fastsocket_bench::{kcps, HarnessArgs, Mode};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -179,28 +179,11 @@ fn smoke() {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--smoke") {
+    let args = HarnessArgs::parse(0.2, "BENCH_par", &[Mode::Smoke, Mode::MinSpeedup]);
+    if args.smoke {
         smoke();
         return;
     }
-    let min_speedup: Option<f64> = raw
-        .iter()
-        .position(|a| a == "--min-speedup")
-        .map(|i| raw[i + 1].parse().expect("--min-speedup <x>"));
-    // Strip `--min-speedup X` so HarnessArgs does not read X as the
-    // measurement window.
-    let args = HarnessArgs::parse_from(
-        {
-            let mut rest = raw.clone();
-            if let Some(i) = rest.iter().position(|a| a == "--min-speedup") {
-                rest.drain(i..=(i + 1).min(rest.len() - 1));
-            }
-            rest
-        },
-        0.2,
-        "BENCH_par",
-    );
 
     let report = sweep(24, args.measure_secs, false, "");
 
@@ -221,7 +204,7 @@ fn main() {
         report.host_cores
     );
 
-    if let Some(min) = min_speedup {
+    if let Some(min) = args.min_speedup {
         let eight = report
             .points
             .iter()

@@ -7,7 +7,7 @@ use fastsocket::experiments::micro;
 use fastsocket_bench::{pct, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse(0.2, "reuseport_lookup");
+    let args = HarnessArgs::parse(0.2, "reuseport_lookup", &[]);
     let cores = args
         .cores
         .clone()

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use fastsocket::{AppSpec, KernelSpec, SimConfig, Simulation};
-use fastsocket_bench::{read_artifact, write_artifact};
+use fastsocket_bench::{read_artifact, write_artifact, KERNELS};
 use serde::{Deserialize, Serialize};
 use sim_core::EventQueue;
 
@@ -130,11 +130,7 @@ fn main() {
 
     eprintln!("self-profiling the event core (fig4a 24-core cells, {measure_secs}s windows)...");
     let mut cells = Vec::new();
-    for kernel in [
-        KernelSpec::BaseLinux,
-        KernelSpec::Linux313,
-        KernelSpec::Fastsocket,
-    ] {
+    for kernel in KERNELS {
         let (wheel_secs, report) = cell(kernel, measure_secs);
         cells.push(CellRow {
             kernel: report.kernel,

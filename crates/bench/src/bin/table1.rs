@@ -6,7 +6,7 @@ use fastsocket::experiments::table1::{self, FeatureStep, PAPER_BASELINE, TABLE1_
 use fastsocket_bench::{kcps, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse(0.25, "table1");
+    let args = HarnessArgs::parse(0.25, "table1", &[]);
     let cores = args
         .cores
         .as_ref()

@@ -16,9 +16,15 @@
 //!
 //! Determinism is part of the contract: a doubled same-seed run must
 //! reproduce a bit-identical shard report digest per kernel.
+//!
+//! `verify 0.3 --cores 1,2,4,8,12,16,24` is the full sanitizer sweep:
+//! lockdep and the table invariants are counted alongside the three
+//! detectors, so every cell must show zero in every column.
+//! `tests/check_negative.rs` proves each detector live: every
+//! `FaultInjection` knob trips exactly its own.
 
 use fastsocket::{AppSpec, KernelSpec, ShardReport, SimConfig, Simulation};
-use fastsocket_bench::{assert_deterministic, HarnessArgs};
+use fastsocket_bench::{assert_deterministic, HarnessArgs, KERNELS};
 
 fn run(kernel: KernelSpec, cores: u16, measure: f64, seed: u64) -> fastsocket::RunReport {
     let cfg = SimConfig::new(kernel, AppSpec::web(), cores)
@@ -38,23 +44,28 @@ fn shard_report(r: &fastsocket::RunReport) -> &ShardReport {
 }
 
 fn main() {
-    let args = HarnessArgs::parse(0.25, "verify");
+    let args = HarnessArgs::parse(0.25, "verify", &[]);
     let core_counts = args.cores.clone().unwrap_or_else(|| vec![1, 8, 24]);
     let max_cores = *core_counts.iter().max().expect("at least one core count");
 
     println!("verification gate: hb + lockset + shard + partition (strict), web workload\n");
     println!(
-        "{:<14} {:>5} {:>4} {:>6} {:>8} {:>8} {:>10} {:>10} {:>8}",
-        "kernel", "cores", "hb", "shard", "lockdep", "lockset", "partition", "transfers", "verdict"
+        "{:<14} {:>5} {:>4} {:>6} {:>8} {:>8} {:>10} {:>10} {:>10} {:>8}",
+        "kernel",
+        "cores",
+        "hb",
+        "shard",
+        "lockdep",
+        "lockset",
+        "partition",
+        "invariant",
+        "transfers",
+        "verdict"
     );
     let mut failures = 0u32;
     let mut rows = Vec::new();
     let mut edge_tables: Vec<(String, u16, ShardReport)> = Vec::new();
-    for kernel in [
-        KernelSpec::BaseLinux,
-        KernelSpec::Linux313,
-        KernelSpec::Fastsocket,
-    ] {
+    for kernel in KERNELS {
         for &cores in &core_counts {
             let r = run(kernel.clone(), cores, args.measure_secs, 0xfa57_50c7);
             let checks = r.checks.as_ref().expect("check report");
@@ -67,7 +78,7 @@ fn main() {
                 }
             }
             println!(
-                "{:<14} {:>5} {:>4} {:>6} {:>8} {:>8} {:>10} {:>10} {:>8}",
+                "{:<14} {:>5} {:>4} {:>6} {:>8} {:>8} {:>10} {:>10} {:>10} {:>8}",
                 kernel.label(),
                 cores,
                 checks.hb,
@@ -75,6 +86,7 @@ fn main() {
                 checks.lockdep,
                 checks.lockset,
                 checks.partition,
+                checks.invariant,
                 rep.total_transfers(),
                 if clean { "clean" } else { "DIRTY" }
             );
@@ -115,11 +127,7 @@ fn main() {
     // history, down to every edge and witness site.
     let det_cores = core_counts.iter().copied().find(|&c| c > 1).unwrap_or(1);
     println!("doubled-run determinism at {det_cores} cores:");
-    for kernel in [
-        KernelSpec::BaseLinux,
-        KernelSpec::Linux313,
-        KernelSpec::Fastsocket,
-    ] {
+    for kernel in KERNELS {
         let a = assert_deterministic(
             format_args!("shard report {} {det_cores}c", kernel.label()),
             || {

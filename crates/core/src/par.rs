@@ -153,69 +153,6 @@ pub fn run_sharded(cfg: SimConfig) -> RunReport {
     merge_outcomes(&cfg, lanes, outcomes, end)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::{AppSpec, KernelSpec, ParConfig};
-    use sim_load::OpenLoopConfig;
-
-    /// Lane RNG streams fork by stable lane id, so the order lanes are
-    /// *constructed* in (which is the order their streams are derived
-    /// in) must not change the arrival schedules — the property that
-    /// makes the threaded executor deterministic under host-thread
-    /// scheduling.
-    #[test]
-    fn permuted_lane_startup_order_keeps_the_schedule_digest() {
-        let cfg = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 8)
-            .warmup_secs(0.003)
-            .measure_secs(0.01)
-            .seed(77)
-            .open_loop(OpenLoopConfig::poisson(20_000.0).population(64))
-            .par(ParConfig::lanes(4).threads(false));
-        let lanes = effective_lanes(&cfg);
-        assert_eq!(lanes, 4);
-        let run = |order: &[u16]| {
-            let end = cfg.warmup + cfg.measure;
-            let mut slots: Vec<Option<Simulation>> = (0..lanes).map(|_| None).collect();
-            for &l in order {
-                let mut lane = Simulation::new_lane(&cfg, l, lanes);
-                lane.lane_start();
-                slots[usize::from(l)] = Some(lane);
-            }
-            let mut sims: Vec<Simulation> = slots
-                .into_iter()
-                .map(|s| s.expect("all lanes built"))
-                .collect();
-            run_lanes_serial(&mut sims, LaneSchedule::new((cfg.rtt / 2).max(1), end));
-            let outcomes = sims.into_iter().map(|s| s.lane_finish(end)).collect();
-            merge_outcomes(&cfg, lanes, outcomes, end)
-        };
-        let a = run(&[0, 1, 2, 3]);
-        let b = run(&[2, 0, 3, 1]);
-        assert_eq!(
-            a.load.as_ref().expect("open loop ran").schedule_digest,
-            b.load.as_ref().expect("open loop ran").schedule_digest,
-            "lane construction order leaked into the arrival schedule"
-        );
-        assert_eq!(a.results_digest(), b.results_digest());
-    }
-
-    /// An armed edge tier forces a single lane: backend health and
-    /// failover retries are shared state no lane partition can own.
-    #[test]
-    fn edge_tier_forces_serial_execution() {
-        let base =
-            SimConfig::new(KernelSpec::Fastsocket, AppSpec::proxy(), 8).par(ParConfig::lanes(4));
-        assert_eq!(effective_lanes(&base), 4);
-        let edged = base.edge(sim_apps::edge::EdgeConfig::default());
-        assert_eq!(
-            effective_lanes(&edged),
-            1,
-            "edge fault domains must run on one lane"
-        );
-    }
-}
-
 /// Folds per-lane outcomes (in lane-index order) into the machine-wide
 /// report — the one place a [`RunReport`] is built. Core-indexed data
 /// concatenates (lane `l` owns cores `[l*k, (l+1)*k)`); counters sum;
@@ -393,5 +330,68 @@ pub(crate) fn merge_outcomes(
         bulk,
         edge,
         mem: mem_acc,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{AppSpec, KernelSpec, ParConfig};
+    use sim_load::OpenLoopConfig;
+
+    /// Lane RNG streams fork by stable lane id, so the order lanes are
+    /// *constructed* in (which is the order their streams are derived
+    /// in) must not change the arrival schedules — the property that
+    /// makes the threaded executor deterministic under host-thread
+    /// scheduling.
+    #[test]
+    fn permuted_lane_startup_order_keeps_the_schedule_digest() {
+        let cfg = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 8)
+            .warmup_secs(0.003)
+            .measure_secs(0.01)
+            .seed(77)
+            .open_loop(OpenLoopConfig::poisson(20_000.0).population(64))
+            .par(ParConfig::lanes(4).threads(false));
+        let lanes = effective_lanes(&cfg);
+        assert_eq!(lanes, 4);
+        let run = |order: &[u16]| {
+            let end = cfg.warmup + cfg.measure;
+            let mut slots: Vec<Option<Simulation>> = (0..lanes).map(|_| None).collect();
+            for &l in order {
+                let mut lane = Simulation::new_lane(&cfg, l, lanes);
+                lane.lane_start();
+                slots[usize::from(l)] = Some(lane);
+            }
+            let mut sims: Vec<Simulation> = slots
+                .into_iter()
+                .map(|s| s.expect("all lanes built"))
+                .collect();
+            run_lanes_serial(&mut sims, LaneSchedule::new((cfg.rtt / 2).max(1), end));
+            let outcomes = sims.into_iter().map(|s| s.lane_finish(end)).collect();
+            merge_outcomes(&cfg, lanes, outcomes, end)
+        };
+        let a = run(&[0, 1, 2, 3]);
+        let b = run(&[2, 0, 3, 1]);
+        assert_eq!(
+            a.load.as_ref().expect("open loop ran").schedule_digest,
+            b.load.as_ref().expect("open loop ran").schedule_digest,
+            "lane construction order leaked into the arrival schedule"
+        );
+        assert_eq!(a.results_digest(), b.results_digest());
+    }
+
+    /// An armed edge tier forces a single lane: backend health and
+    /// failover retries are shared state no lane partition can own.
+    #[test]
+    fn edge_tier_forces_serial_execution() {
+        let base =
+            SimConfig::new(KernelSpec::Fastsocket, AppSpec::proxy(), 8).par(ParConfig::lanes(4));
+        assert_eq!(effective_lanes(&base), 4);
+        let edged = base.edge(sim_apps::edge::EdgeConfig::default());
+        assert_eq!(
+            effective_lanes(&edged),
+            1,
+            "edge fault domains must run on one lane"
+        );
     }
 }

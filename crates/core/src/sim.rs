@@ -673,11 +673,6 @@ impl Simulation {
         self.pending_crashes.push(core);
     }
 
-    /// Read-only access to the TCP stack (tests, fault injection).
-    pub fn stack_mut(&mut self) -> &mut TcpStack {
-        &mut self.stack
-    }
-
     /// Read-only access to the kernel context.
     pub fn ctx(&self) -> &KernelCtx {
         &self.ctx

@@ -97,7 +97,7 @@ fn decode(kind: u8, spans: u64, jitter: u64) -> Step {
     match kind % 8 {
         // Exact whole-span aliases of the current slot, 1–8 rotations
         // out — the epoch-boundary hazard itself.
-        0 | 1 | 2 => Step::Push((1 + spans % 8) * WHEEL_SPAN_CYCLES),
+        0..=2 => Step::Push((1 + spans % 8) * WHEEL_SPAN_CYCLES),
         // One slot either side of a whole span, so the boundary's
         // neighbours are exercised too.
         3 => Step::Push((1 + spans % 4) * WHEEL_SPAN_CYCLES - 1 - (jitter % 8192)),

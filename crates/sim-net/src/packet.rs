@@ -171,12 +171,6 @@ impl Packet {
         self
     }
 
-    /// Sets extra flags on top of the existing ones (builder style).
-    pub fn with_flags(mut self, extra: TcpFlags) -> Packet {
-        self.flags = self.flags | extra;
-        self
-    }
-
     /// Sequence space consumed by this segment (payload plus SYN/FIN).
     pub fn seq_len(&self) -> u32 {
         u32::from(self.payload_len) + u32::from(self.flags.syn()) + u32::from(self.flags.fin())
@@ -273,7 +267,7 @@ mod tests {
         assert_eq!(Packet::parse(&wire).unwrap(), p);
         let marked = Packet::new(flow(), TcpFlags::ACK | TcpFlags::CE).with_payload(1_448);
         assert_eq!(Packet::parse(&marked.to_wire()).unwrap(), marked);
-        assert_eq!(marked.to_string().contains("CE"), true);
+        assert!(marked.to_string().contains("CE"));
     }
 
     #[test]

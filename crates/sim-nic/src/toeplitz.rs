@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn table_matches_the_bit_serial_definition() {
-        let mut x: u64 = 0x5eed_0f_7a_b1e5;
+        let mut x: u64 = 0x5eed_0f7a_b1e5;
         for _ in 0..2_000 {
             x = x
                 .wrapping_mul(6_364_136_223_846_793_005)

@@ -472,11 +472,6 @@ impl MemAccounts {
         self.orphans
     }
 
-    /// One core's account (index wraps like the charge paths).
-    pub fn core_account(&self, core: CoreId) -> CoreAccount {
-        self.cores[(core.0 as usize) % self.cores.len()]
-    }
-
     /// High-watermarks observed since construction, in modeled units:
     /// `(bytes, sockets, embryos, time_wait, orphans)`.
     pub fn peaks(&self) -> (u64, u64, u64, u64, u64) {
@@ -775,10 +770,14 @@ mod tests {
         let mut m2 = MemAccounts::new(cfg(), 1);
         m2.charge_embryo(CoreId(0));
         m2.uncharge_embryo(CoreId(0));
-        let mut s1 = MemStats::default();
-        s1.window_clamps = 3;
-        let mut s2 = MemStats::default();
-        s2.window_clamps = 4;
+        let s1 = MemStats {
+            window_clamps: 3,
+            ..MemStats::default()
+        };
+        let s2 = MemStats {
+            window_clamps: 4,
+            ..MemStats::default()
+        };
         let mut r = MemReport::from_accounts(&m1, s1);
         r.merge(&MemReport::from_accounts(&m2, s2));
         assert_eq!(r.peak_sockets, 1);

@@ -174,10 +174,4 @@ impl TraceEvent {
             label,
         }
     }
-
-    /// Copies the event with a connection id attached.
-    pub fn with_conn(mut self, conn: u64) -> TraceEvent {
-        self.conn = conn;
-        self
-    }
 }

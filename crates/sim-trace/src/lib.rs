@@ -152,16 +152,6 @@ impl Tracer {
         }
     }
 
-    /// Records a batch of events in order (no-op when disabled).
-    pub fn record_batch(&self, events: impl IntoIterator<Item = TraceEvent>) {
-        if let Some(inner) = &self.inner {
-            let mut state = inner.borrow_mut();
-            for ev in events {
-                state.record(ev);
-            }
-        }
-    }
-
     /// Opens a span on `core`.
     pub fn enter(&self, ts: u64, core: u16, label: TraceLabel) {
         self.record(TraceEvent::enter(ts, core, label));

@@ -411,7 +411,7 @@ mod tests {
 
     #[test]
     fn fnv_hasher_matches_flow_hash_and_is_seedless() {
-        use std::hash::Hasher;
+        use std::hash::{BuildHasher, Hasher};
         let f = flow(40_000);
         let mut h = FnvHasher::default();
         for b in f.src_ip.octets() {
@@ -426,7 +426,6 @@ mod tests {
         // Two independently built maps agree on layout (no random seed).
         let a = flow_map(16);
         let b = flow_map(16);
-        use std::hash::BuildHasher;
         assert_eq!(
             a.hasher().hash_one(f),
             b.hasher().hash_one(f),

@@ -188,13 +188,6 @@ impl StackConfig {
         }
     }
 
-    /// Enables the sliding-window data plane with the given
-    /// congestion-control configuration (builder style).
-    pub fn with_cc(mut self, cc: CcConfig) -> Self {
-        self.cc = Some(cc);
-        self
-    }
-
     /// Linux 3.13: `SO_REUSEPORT` listen copies and finer-grained VFS
     /// locking; everything else as the base kernel.
     pub fn linux_313(cores: u16) -> Self {
