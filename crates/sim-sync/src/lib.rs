@@ -11,10 +11,13 @@
 //!   plus a cache-line transfer penalty when the previous holder was a
 //!   different core;
 //! * an acquisition that finds the lock held **spins** until the holder
-//!   releases, paying an additional per-waiter handoff penalty that
-//!   models the cache-line storm of ticket spinlocks (this O(waiters)
-//!   term is what makes the base kernel's throughput *collapse* beyond
-//!   12 cores in Figure 4a rather than merely flatten);
+//!   releases, and its hold is stretched by the cache-line storm of
+//!   ticket spinlocks: `handoff_per_waiter` cycles for every other core
+//!   in the lock's poller census (the distinct cores seen in the current
+//!   or the previous 64-acquisition period, whichever is more). This
+//!   term grows with the cores hammering the lock, and it is what makes
+//!   the base kernel's throughput *collapse* beyond 12 cores in Figure
+//!   4a rather than merely flatten;
 //! * every acquisition that found the lock held increments the class's
 //!   `contentions` counter — exactly lockstat's definition, which is what
 //!   Table 1 reports.

@@ -13,8 +13,8 @@ use crate::stats::{ClassStats, LockClass};
 /// Ivy Bridge-class hardware: an uncontended `lock cmpxchg` on an owned
 /// line is tens of cycles; pulling the lock word from another core's
 /// cache costs a coherence round-trip (~hundreds of cycles); a ticket
-/// spinlock release broadcasts an invalidation to every spinning waiter,
-/// so handoff cost grows linearly with the number of waiters.
+/// spinlock release broadcasts an invalidation to every spinning core,
+/// so handoff cost grows linearly with the number of polling cores.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LockCosts {
     /// Cost of an uncontended acquisition on a core-local line.
@@ -81,11 +81,19 @@ struct SimLock {
     pollers: u64,
     census_cnt: u32,
     census_prev: u32,
-    /// Hold intervals `(start, end)` reserved by in-flight operations,
-    /// sorted by start. Operations execute at per-core virtual times
-    /// that may run ahead of the event clock, so the lock is modelled
-    /// as a timed resource: an acquisition at time `t` takes the first
-    /// gap that fits, spinning until then.
+    /// Hold intervals `(start, end)` reserved by in-flight operations.
+    /// Operations execute at per-core virtual times that may run ahead
+    /// of the event clock, so the lock is modelled as a timed resource:
+    /// an acquisition at time `t` takes the first gap that fits,
+    /// spinning until then.
+    ///
+    /// Invariant: the holds are pairwise disjoint and sorted by start
+    /// (`end[i] <= start[i + 1]`), so their ends are sorted too. An
+    /// insert lands after holds that end at or before its start and
+    /// before holds that start at or after its end, and retirement
+    /// only pops the front, so both keep it. The holds that ended by
+    /// any time `t` are therefore a prefix, which `acquire` skips by
+    /// binary search.
     reservations: VecDeque<(Cycles, Cycles)>,
     live: bool,
 }
@@ -183,8 +191,10 @@ impl LockTable {
     ///
     /// The lock is a timed resource: the acquisition reserves the first
     /// interval at or after `now` that does not overlap an existing
-    /// hold. Queueing behind already-reserved holds additionally pays a
-    /// per-waiter handoff penalty (the ticket-lock cache-line storm).
+    /// hold. A contended acquisition additionally pays the ticket-lock
+    /// cache-line storm, `handoff_per_waiter × (pollers − 1)`, where
+    /// `pollers` counts the distinct cores in the poller census. The
+    /// search costs O(log n + waiters) in the lock's n holds.
     pub fn acquire(&mut self, id: LockId, core: CoreId, now: Cycles, hold: Cycles) -> Acquisition {
         let costs = self.costs;
         let lock = &mut self.locks[id.0 as usize];
@@ -219,14 +229,16 @@ impl LockTable {
         let pollers = u64::from(lock.pollers.count_ones().max(lock.census_prev));
 
         // Find the first gap that fits, queueing behind overlapping
-        // reservations. Queueing behind more than the current holder
-        // adds a per-waiter handoff penalty (ticket-lock storm).
-        // Reservations that ended before our arrival are dead history
-        // (kept only so cores whose clocks lag can still collide with
-        // them): they neither block us nor count as waiters.
+        // reservations; once queued, every later gap must also fit the
+        // storm term. Reservations that ended before our arrival are
+        // dead history (kept only so cores whose clocks lag can still
+        // collide with them): they neither block us nor count as
+        // waiters. Ends are sorted, so the dead holds are a prefix,
+        // found by binary search.
+        let first_live = lock.reservations.partition_point(|&(_, end)| end <= now);
         let mut cursor = now;
         let mut waiters: u64 = 0;
-        let mut insert_at = 0usize;
+        let mut insert_at = first_live;
         // A contended handoff triggers the ticket-lock line storm: all
         // polling cores re-read the line, which both delays the grant
         // and occupies the line — it extends the *service* interval, so
@@ -236,7 +248,7 @@ impl LockTable {
         let storm = costs.handoff_per_waiter * pollers.saturating_sub(1);
         let need_free = acquire_cost + hold;
         let need_contended = need_free + storm;
-        for (i, &(start, end)) in lock.reservations.iter().enumerate() {
+        for (i, &(start, end)) in (first_live..).zip(lock.reservations.range(first_live..)) {
             if end <= cursor {
                 insert_at = i + 1;
                 continue;
@@ -258,29 +270,24 @@ impl LockTable {
         let contended = spin > 0;
 
         let release_at = acquired_at + if contended { need_contended } else { need_free };
+        // The new hold is disjoint from both neighbours; by induction
+        // the whole list keeps the invariant the search relies on.
+        debug_assert!(
+            insert_at == 0 || lock.reservations[insert_at - 1].1 <= acquired_at,
+            "hold ({acquired_at}, {release_at}) overlaps its predecessor {:?}",
+            lock.reservations[insert_at - 1]
+        );
+        debug_assert!(
+            lock.reservations
+                .get(insert_at)
+                .is_none_or(|&(start, _)| release_at <= start),
+            "hold ({acquired_at}, {release_at}) overlaps its successor {:?}",
+            lock.reservations[insert_at]
+        );
         lock.reservations
             .insert(insert_at, (acquired_at, release_at));
-        #[cfg(debug_assertions)]
-        {
-            let v: Vec<(Cycles, Cycles)> = lock.reservations.iter().copied().collect();
-            for w in v.windows(2) {
-                debug_assert!(w[0].0 <= w[1].0, "reservation list unsorted: {v:?}");
-                let both_live = w[0].1 > now && w[1].1 > now;
-                debug_assert!(
-                    !both_live || w[0].1 <= w[1].0,
-                    "adjacent live reservations overlap: {w:?} now={now}"
-                );
-            }
-        }
         lock.last_owner = Some(core);
 
-        #[cfg(feature = "lock-trace")]
-        if lock.class == LockClass::DcacheLock {
-            eprintln!(
-                "DCACHE core={} now={} acq_at={} rel={} pollers={} waiters={} contended={}",
-                core.0, now, acquired_at, release_at, pollers, waiters, contended
-            );
-        }
         let st = &mut self.stats[lock.class as usize];
         st.acquisitions += 1;
         if contended {

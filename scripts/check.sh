@@ -28,6 +28,12 @@ cargo clippy --workspace --all-targets \
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The benchmark is a workspace of its own, so the pass above skips it.
+# Its tests hold BENCHMARK.json equal to the metric tables the binary
+# emits and run the smoke path's correctness checks.
+echo "==> benchmark tests (BENCHMARK.json vs emitted metrics, smoke checks)"
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 # Bench smoke: self-profile the event core on a short window and hold
 # the timing-wheel's events/sec against the committed baseline. The
 # wide tolerance absorbs machine-to-machine variance (the committed

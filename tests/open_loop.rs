@@ -12,7 +12,8 @@ use fastsocket::{
 use proptest::prelude::*;
 
 /// The exact closed-loop cells whose digests were pinned from the seed
-/// tree (8-core web sweep plus a 4-core proxy cell).
+/// tree (8-core web sweep plus a 4-core proxy cell), and a 24-core
+/// stock-kernel cell whose shared locks carry long hold lists.
 fn golden_cell(kernel: KernelSpec, app: AppSpec, cores: u16) -> SimConfig {
     SimConfig::new(kernel, app, cores)
         .warmup_secs(0.02)
@@ -33,7 +34,7 @@ fn model_digest(r: &RunReport) -> String {
 
 #[test]
 fn closed_loop_golden_digests_are_unchanged() {
-    let golden: [(KernelSpec, AppSpec, u16, &str, &str); 4] = [
+    let golden: [(KernelSpec, AppSpec, u16, &str, &str); 5] = [
         (
             KernelSpec::BaseLinux,
             AppSpec::web(),
@@ -61,6 +62,13 @@ fn closed_loop_golden_digests_are_unchanged() {
             4,
             "e5093136b39fedf7",
             "ae4afced329433d9",
+        ),
+        (
+            KernelSpec::BaseLinux,
+            AppSpec::web(),
+            24,
+            "304181c3edf4768c",
+            "cb9e490a93698229",
         ),
     ];
     for (kernel, app, cores, cfg_digest, report_digest) in golden {
