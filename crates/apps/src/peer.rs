@@ -149,21 +149,21 @@ impl ClientSlot {
         self.state == ClientState::Idle
     }
 
-    /// Reprofiles the slot for its next connection (open-loop sessions
-    /// draw a fresh request size and length per arrival). Must be
-    /// called between connections; `client_closes` decides who FINs
-    /// first after the last response (see the field on [`ClientSlot`]).
+    /// Reprofiles the slot for its next connection (an open-loop
+    /// arrival picks its session length: the workload's, or the
+    /// long-lived mix's). Must be called between connections;
+    /// `client_closes` decides who FINs first after the last response
+    /// (see the field on [`ClientSlot`]).
     ///
     /// # Panics
     ///
     /// Panics if a connection is in flight or `requests_per_conn == 0`.
-    pub fn set_session(&mut self, request_len: u16, requests_per_conn: u32, client_closes: bool) {
+    pub fn set_session(&mut self, requests_per_conn: u32, client_closes: bool) {
         assert_eq!(self.state, ClientState::Idle, "connection already active");
         assert!(
             requests_per_conn >= 1,
             "a connection carries at least one request"
         );
-        self.request_len = request_len;
         self.requests_per_conn = requests_per_conn;
         self.client_closes = client_closes;
     }
@@ -779,7 +779,7 @@ mod tests {
     #[test]
     fn client_hold_parks_then_releases_fin() {
         let mut slot = ClientSlot::new(CLIENT, SERVER, 80, 600, 1);
-        slot.set_session(600, 1, true);
+        slot.set_session(1, true);
         slot.set_hold(true);
         let syn = slot.start(100);
         let rev = syn.flow.reversed();
@@ -821,7 +821,7 @@ mod tests {
     fn server_fin_during_hold_closes_cleanly() {
         let mut slot = ClientSlot::new(CLIENT, SERVER, 80, 600, 1);
         slot.set_hold(true);
-        slot.set_session(600, 1, true);
+        slot.set_session(1, true);
         let syn = slot.start(100);
         let rev = syn.flow.reversed();
         let mut out = Vec::new();

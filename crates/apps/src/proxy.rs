@@ -25,7 +25,7 @@ use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 use sim_core::{Cycles, SimRng};
-use sim_load::{BackoffPolicy, SizeDist};
+use sim_load::BackoffPolicy;
 use sim_os::epoll::EpollEvent;
 use sim_os::fdtable::{Fd, FdTable};
 use tcp_stack::SockId;
@@ -170,9 +170,6 @@ pub struct Proxy {
     served: u64,
     /// Keep client connections open across requests (the client closes).
     keep_alive: bool,
-    /// Per-response size sampling (open-loop heavy-tailed workloads);
-    /// `None` relays the fixed `config.response_len`.
-    response_sizer: Option<(SizeDist, SimRng)>,
     /// Bulk mode: backend responses stream in over many segments and
     /// are relayed chunk-by-chunk through the data plane; the client
     /// side closes when the backend's FIN arrives.
@@ -194,7 +191,6 @@ impl Proxy {
             rr: 0,
             served: 0,
             keep_alive: false,
-            response_sizer: None,
             bulk: false,
             edge: None,
             connect_failures: 0,
@@ -262,21 +258,6 @@ impl Proxy {
     pub fn with_keep_alive(mut self, on: bool) -> Self {
         self.keep_alive = on;
         self
-    }
-
-    /// Samples relayed response sizes from `dist` (with a
-    /// worker-private RNG) instead of the fixed configured length
-    /// (builder style).
-    pub fn with_response_sizer(mut self, dist: SizeDist, rng: SimRng) -> Self {
-        self.response_sizer = Some((dist, rng));
-        self
-    }
-
-    fn response_len(&mut self) -> u16 {
-        match &mut self.response_sizer {
-            Some((dist, rng)) => dist.sample(rng),
-            None => self.config.response_len,
-        }
     }
 
     fn token(&mut self) -> u64 {
@@ -727,8 +708,7 @@ impl Proxy {
                     _ => None,
                 };
                 if let Some(cs) = client_sock {
-                    let len = self.response_len();
-                    sys.send(cs, len);
+                    sys.send(cs, self.config.response_len);
                     self.served += 1;
                     if let Some(e) = &mut self.edge {
                         e.route.remove(&client); // request fulfilled

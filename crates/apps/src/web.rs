@@ -8,8 +8,7 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use sim_core::{Cycles, SimRng};
-use sim_load::SizeDist;
+use sim_core::Cycles;
 use sim_os::epoll::EpollEvent;
 use sim_os::fdtable::{Fd, FdTable};
 use tcp_stack::SockId;
@@ -58,9 +57,6 @@ pub struct WebServer {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     served: u64,
-    /// Per-response size sampling (open-loop heavy-tailed workloads);
-    /// `None` serves the fixed `config.response_len`.
-    response_sizer: Option<(SizeDist, SimRng)>,
     /// Bulk mode: stream responses of this many bytes through the
     /// sliding-window data plane instead of one-packet sends.
     bulk: Option<u32>,
@@ -75,7 +71,6 @@ impl WebServer {
             conns: HashMap::new(),
             next_token: 0,
             served: 0,
-            response_sizer: None,
             bulk: None,
         }
     }
@@ -85,20 +80,6 @@ impl WebServer {
     pub fn with_bulk(mut self, response_bytes: u32) -> Self {
         self.bulk = Some(response_bytes);
         self
-    }
-
-    /// Samples response sizes from `dist` (with a worker-private RNG)
-    /// instead of serving the fixed configured length (builder style).
-    pub fn with_response_sizer(mut self, dist: SizeDist, rng: SimRng) -> Self {
-        self.response_sizer = Some((dist, rng));
-        self
-    }
-
-    fn response_len(&mut self) -> u16 {
-        match &mut self.response_sizer {
-            Some((dist, rng)) => dist.sample(rng),
-            None => self.config.response_len,
-        }
     }
 
     fn accept_loop(&mut self, sys: &mut Sys<'_>) {
@@ -143,10 +124,7 @@ impl WebServer {
         sys.work(self.config.app_work);
         match self.bulk {
             Some(resp) => sys.send_bulk(sock, resp),
-            None => {
-                let len = self.response_len();
-                sys.send(sock, len);
-            }
+            None => sys.send(sock, self.config.response_len),
         }
         self.served += 1;
         if self.config.keep_alive {

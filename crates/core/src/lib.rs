@@ -42,8 +42,8 @@ pub use sim::Simulation;
 pub use sim_check::{CheckReport, ShardClass, ShardReport};
 pub use sim_fault::{FaultEvent, FaultKind, FaultRecord, FaultSchedule, RobustnessReport};
 pub use sim_load::{
-    ArrivalProcess, LoadReport, LongLivedMix, MmppPhase, OpenLoopConfig, RateProfile, SessionDist,
-    SizeDist, DEFAULT_DIURNAL,
+    ArrivalProcess, LoadReport, LongLivedMix, MmppPhase, OpenLoopConfig, RateProfile,
+    DEFAULT_DIURNAL,
 };
 pub use sim_res::{MemConfig, MemReport, MemStats, PressureLevel};
 pub use tcp_stack::FaultInjection;
