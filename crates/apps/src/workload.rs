@@ -3,14 +3,15 @@
 use serde::{Deserialize, Serialize};
 
 /// The short-lived HTTP connection profile the paper's introduction
-/// describes for Sina Weibo: a ~600-byte request, a ~1200-byte
-/// response, one connection per request (HTTP keep-alive disabled).
+/// describes for Sina Weibo: a ~600-byte request, one connection per
+/// request (HTTP keep-alive disabled). The ~1200-byte response is the
+/// server's to send: `WebConfig::response_len` or
+/// `ProxyConfig::response_len`. Closed and open loops both read their
+/// session shape from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HttpWorkload {
     /// Request payload length in bytes.
     pub request_len: u16,
-    /// Response payload length in bytes.
-    pub response_len: u16,
     /// Concurrent connections per server core (http_load runs a
     /// concurrency of 500 × cores in the paper's benchmarks).
     pub concurrency_per_core: u32,
@@ -26,7 +27,6 @@ impl Default for HttpWorkload {
     fn default() -> Self {
         HttpWorkload {
             request_len: 600,
-            response_len: 1_200,
             concurrency_per_core: 500,
             requests_per_conn: 1,
         }
@@ -48,7 +48,6 @@ mod tests {
     fn default_matches_paper() {
         let w = HttpWorkload::default();
         assert_eq!(w.request_len, 600);
-        assert_eq!(w.response_len, 1_200);
         assert_eq!(w.concurrency(24), 12_000);
         assert_eq!(w.requests_per_conn, 1, "keep-alive off, as in the paper");
     }
