@@ -255,6 +255,7 @@ fn run_rung(
     let load = r.load.as_ref().expect("open-loop run reports load");
     let lat = r.latency.as_ref().expect("trace was on");
     let mem = r.mem.as_ref().expect("ledger was armed");
+    let reactions = r.stack.mem.unwrap_or_default();
     let rate = offered_rate(target, s);
     let goodput = r.throughput_cps / rate;
     Rung {
@@ -267,12 +268,12 @@ fn run_rung(
         peak_sockets: mem.peak_sockets,
         peak_bytes: mem.peak_bytes,
         peak_embryos: mem.peak_embryos,
-        window_clamps: mem.stats.window_clamps,
-        buffer_reclaims: mem.stats.buffer_reclaims,
-        pressure_syn_drops: mem.stats.pressure_syn_drops,
-        embryos_pruned: mem.stats.embryos_pruned,
-        orphans_killed: mem.stats.orphans_killed,
-        enter_pressure: mem.stats.enter_pressure,
+        window_clamps: reactions.window_clamps,
+        buffer_reclaims: reactions.buffer_reclaims,
+        pressure_syn_drops: reactions.pressure_syn_drops,
+        embryos_pruned: reactions.embryos_pruned,
+        orphans_killed: reactions.orphans_killed,
+        enter_pressure: reactions.enter_pressure,
         balanced: mem.balanced,
         reached: mem.peak_sockets as f64 >= REACH_FLOOR * target as f64,
         slo_pass: meets_slo(lat.setup.p99_us, goodput),

@@ -251,20 +251,18 @@ impl RunReport {
             }
         }
         if let Some(m) = &self.mem {
+            let ms = s.mem.unwrap_or_default();
             for (label, v) in [
                 ("peak modeled bytes charged", m.peak_bytes),
                 ("peak modeled concurrent sockets", m.peak_sockets),
                 ("peak modeled TIME_WAIT buckets", m.peak_time_wait),
                 ("peak modeled orphans", m.peak_orphans),
-                ("SYNs dropped at tcp_mem high", m.stats.pressure_syn_drops),
-                ("embryonic connections pruned", m.stats.embryos_pruned),
-                (
-                    "TIME_WAIT buckets force-recycled",
-                    m.stats.tw_forced_recycles,
-                ),
-                ("orphans reset at tcp_max_orphans", m.stats.orphans_killed),
-                ("window advertisements clamped", m.stats.window_clamps),
-                ("receive queues collapsed", m.stats.buffer_reclaims),
+                ("SYNs dropped at tcp_mem high", ms.pressure_syn_drops),
+                ("embryonic connections pruned", ms.embryos_pruned),
+                ("TIME_WAIT buckets force-recycled", ms.tw_forced_recycles),
+                ("orphans reset at tcp_max_orphans", ms.orphans_killed),
+                ("window advertisements clamped", ms.window_clamps),
+                ("receive queues collapsed", ms.buffer_reclaims),
             ] {
                 out.push_str(&format!("    {v} {label}\n"));
             }
@@ -454,12 +452,12 @@ mod tests {
             peak_embryos: 4_096,
             peak_time_wait: 180_000,
             peak_orphans: 64,
-            stats: sim_res::MemStats {
-                pressure_syn_drops: 5,
-                tw_forced_recycles: 7,
-                ..sim_res::MemStats::default()
-            },
             balanced: true,
+        });
+        b.stack.mem = Some(sim_res::MemStats {
+            pressure_syn_drops: 5,
+            tw_forced_recycles: 7,
+            ..sim_res::MemStats::default()
         });
         assert_ne!(d, b.results_digest());
         assert!(!serde_json::to_string(&a).unwrap().contains("\"mem\""));

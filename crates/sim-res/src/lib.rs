@@ -576,8 +576,9 @@ impl MemStats {
     }
 }
 
-/// The `mem` block of a run report: budget, watermarks, and reaction
-/// totals, all in modeled units.
+/// The `mem` block of a run report: budget and watermarks, in modeled
+/// units. The pressure-reaction counters ([`MemStats`]) live in the
+/// stack's statistics, once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemReport {
     /// Hard budget (`tcp_mem[2]`) in modeled bytes.
@@ -595,8 +596,6 @@ pub struct MemReport {
     pub peak_time_wait: u64,
     /// Peak modeled orphans.
     pub peak_orphans: u64,
-    /// Pressure-reaction counters for the run.
-    pub stats: MemStats,
     /// Whether the ledger was conserved at the end of the run: every
     /// freed socket and drained buffer was uncharged, so the accounts
     /// match the surviving socket table exactly (and drain to zero
@@ -607,9 +606,8 @@ pub struct MemReport {
 }
 
 impl MemReport {
-    /// Assembles the report block from a drained ledger and the
-    /// stack's reaction counters.
-    pub fn from_accounts(mem: &MemAccounts, stats: MemStats) -> MemReport {
+    /// Assembles the report block from a drained ledger.
+    pub fn from_accounts(mem: &MemAccounts) -> MemReport {
         let (peak_bytes, peak_sockets, peak_embryos, peak_time_wait, peak_orphans) = mem.peaks();
         MemReport {
             budget_bytes: mem.config().high_bytes,
@@ -619,7 +617,6 @@ impl MemReport {
             peak_embryos,
             peak_time_wait,
             peak_orphans,
-            stats,
             balanced: mem.balance().is_ok(),
         }
     }
@@ -635,7 +632,6 @@ impl MemReport {
         self.peak_embryos += other.peak_embryos;
         self.peak_time_wait += other.peak_time_wait;
         self.peak_orphans += other.peak_orphans;
-        self.stats.merge(&other.stats);
         self.balanced &= other.balanced;
     }
 }
@@ -770,19 +766,10 @@ mod tests {
         let mut m2 = MemAccounts::new(cfg(), 1);
         m2.charge_embryo(CoreId(0));
         m2.uncharge_embryo(CoreId(0));
-        let s1 = MemStats {
-            window_clamps: 3,
-            ..MemStats::default()
-        };
-        let s2 = MemStats {
-            window_clamps: 4,
-            ..MemStats::default()
-        };
-        let mut r = MemReport::from_accounts(&m1, s1);
-        r.merge(&MemReport::from_accounts(&m2, s2));
+        let mut r = MemReport::from_accounts(&m1);
+        r.merge(&MemReport::from_accounts(&m2));
         assert_eq!(r.peak_sockets, 1);
         assert_eq!(r.peak_embryos, 2);
-        assert_eq!(r.stats.window_clamps, 7);
         assert!(r.balanced);
         assert_eq!(r.budget_bytes, 200_000);
     }

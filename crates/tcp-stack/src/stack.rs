@@ -680,11 +680,12 @@ impl TcpStack {
         ))
     }
 
-    /// The `mem` report block: ledger peaks, reaction counters, and
-    /// the conservation verdict. `None` when accounting is off.
+    /// The `mem` report block: ledger peaks and the conservation
+    /// verdict (the reaction counters are in [`StackStats::mem`]).
+    /// `None` when accounting is off.
     pub fn mem_report(&self) -> Option<sim_res::MemReport> {
         let mem = self.mem.as_ref()?;
-        let mut r = sim_res::MemReport::from_accounts(mem, self.stats.mem.unwrap_or_default());
+        let mut r = sim_res::MemReport::from_accounts(mem);
         r.balanced = self.mem_imbalance().is_none();
         Some(r)
     }

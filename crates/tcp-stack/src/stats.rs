@@ -65,10 +65,10 @@ pub struct StackStats {
     /// legacy report digests are unchanged.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dp: Option<DataPlaneStats>,
-    /// Memory-pressure reaction counters (`sim-res`). `None` unless
-    /// `StackConfig::mem` armed the accounting subsystem, and elided
-    /// from the serialized form when `None`, so legacy report digests
-    /// are unchanged.
+    /// Memory-pressure reaction counters (`sim-res`), the only copy a
+    /// run report carries. `None` until a counter fires (only an armed
+    /// `StackConfig::mem` fires them), and elided from the serialized
+    /// form when `None`, so legacy report digests are unchanged.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub mem: Option<sim_res::MemStats>,
 }

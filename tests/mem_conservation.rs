@@ -115,16 +115,16 @@ fn all_kernels_balance_under_high_pressure_on_both_executors() {
 fn brutal_budget_fires_pressure_reactions() {
     let r = run(decode_cfg(2, 3, 0, 2, false, 7));
     let mem = r.mem.as_ref().expect("ledger was armed");
-    let reactions = mem.stats.pressure_syn_drops
-        + mem.stats.embryos_pruned
-        + mem.stats.window_clamps
-        + mem.stats.buffer_reclaims
-        + mem.stats.tw_forced_recycles
-        + mem.stats.orphans_killed;
+    let stats = r.stack.mem.unwrap_or_default();
+    let reactions = stats.pressure_syn_drops
+        + stats.embryos_pruned
+        + stats.window_clamps
+        + stats.buffer_reclaims
+        + stats.tw_forced_recycles
+        + stats.orphans_killed;
     assert!(
         reactions > 0,
-        "200 KB x8-scale budget never reacted: {:?}",
-        mem.stats
+        "200 KB x8-scale budget never reacted: {stats:?}"
     );
     assert!(mem.balanced, "reacting run did not balance");
 }
