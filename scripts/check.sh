@@ -43,12 +43,6 @@ echo "==> bench smoke (event-core self-profile vs committed baseline)"
 cargo build -q --release -p fastsocket-bench --bin selfprof
 ./target/release/selfprof 0.02 --baseline results/BENCH_event_core.json --tolerance 0.5
 
-# Sanitizer pass: the `check` feature defaults SimConfig::check to on,
-# so every system test re-runs with lockdep, lockset race detection and
-# partition lints armed (plus the sanitizer-specific suites).
-echo "==> cargo test -q --features check (sanitizers armed)"
-cargo test -q --features check --test check_invariants --test check_negative --test system_partition
-
 # Chaos smoke: one short fault schedule per kernel with every sanitizer
 # armed. Fails on any lockdep/lockset/partition finding during fault
 # handling, or if a kernel never climbs back to 90% of its pre-fault
