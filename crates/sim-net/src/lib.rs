@@ -1,15 +1,12 @@
-//! Wire formats for the simulated network.
+//! Segments and flow tuples for the simulated network.
 //!
-//! The NIC model hashes real header bytes (Toeplitz RSS, Flow Director
-//! filters), so packets carry genuine IPv4/TCP headers. This crate
-//! provides:
+//! The model never encodes or parses packet bytes: the NIC steers by
+//! hashing [`FlowTuple`] fields in RSS input order, and the stack reads
+//! a segment's fields directly. This crate provides:
 //!
 //! * [`flow::FlowTuple`] — the 4-tuple that identifies a connection,
 //! * [`packet::Packet`] and [`packet::TcpFlags`] — the simulator's
-//!   segment representation,
-//! * [`headers`] — byte-level IPv4/TCP encode/decode with checksums,
-//!   round-trip-tested under proptest,
-//! * [`checksum`] — the Internet checksum.
+//!   segment representation.
 //!
 //! # Example
 //!
@@ -22,15 +19,12 @@
 //!     Ipv4Addr::new(10, 0, 0, 1), 80,
 //! );
 //! let syn = Packet::new(flow, TcpFlags::SYN).with_seq(1000);
-//! let bytes = syn.to_wire();
-//! let parsed = Packet::parse(&bytes).unwrap();
-//! assert_eq!(parsed, syn);
+//! assert_eq!(syn.seq_len(), 1);
+//! assert_eq!(syn.flow.reversed().canonical(), flow.canonical());
 //! ```
 
-pub mod checksum;
 pub mod flow;
-pub mod headers;
 pub mod packet;
 
 pub use flow::FlowTuple;
-pub use packet::{Packet, ParsePacketError, TcpFlags};
+pub use packet::{Packet, TcpFlags};

@@ -1,10 +1,8 @@
 //! The simulator's TCP segment representation.
 
-use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
 
 use crate::flow::FlowTuple;
-use crate::headers::{Ipv4Header, ParseHeaderError, TcpHeader, IPV4_HEADER_LEN, TCP_HEADER_LEN};
 
 /// TCP flag bits, as they appear in the header's flags byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -103,9 +101,8 @@ impl std::fmt::Display for TcpFlags {
 
 /// A TCP segment in flight.
 ///
-/// Payload bytes are represented by their length only (the simulation
-/// never inspects payload contents), but headers encode and parse to
-/// real wire bytes via [`Packet::to_wire`] / [`Packet::parse`].
+/// Payload bytes are represented by their length only: the simulation
+/// never inspects payload contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Packet {
     /// Sender-perspective connection tuple.
@@ -121,18 +118,6 @@ pub struct Packet {
     /// Advertised receive window.
     pub wnd: u16,
 }
-
-/// Errors from [`Packet::parse`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParsePacketError(ParseHeaderError);
-
-impl std::fmt::Display for ParsePacketError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid packet: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParsePacketError {}
 
 impl Packet {
     /// Creates a payload-less segment with the given flags.
@@ -175,52 +160,6 @@ impl Packet {
     pub fn seq_len(&self) -> u32 {
         u32::from(self.payload_len) + u32::from(self.flags.syn()) + u32::from(self.flags.fin())
     }
-
-    /// Encodes the segment to wire bytes (IPv4 + TCP + zeroed payload).
-    pub fn to_wire(&self) -> BytesMut {
-        let payload = vec![0u8; usize::from(self.payload_len)];
-        let total = IPV4_HEADER_LEN + TCP_HEADER_LEN + payload.len();
-        let mut buf = BytesMut::with_capacity(total);
-        Ipv4Header {
-            src: self.flow.src_ip,
-            dst: self.flow.dst_ip,
-            total_len: total as u16,
-            ttl: 64,
-        }
-        .encode(&mut buf);
-        TcpHeader {
-            src_port: self.flow.src_port,
-            dst_port: self.flow.dst_port,
-            seq: self.seq,
-            ack: self.ack,
-            flags: self.flags.0,
-            window: self.wnd,
-        }
-        .encode(&mut buf, self.flow.src_ip, self.flow.dst_ip, &payload);
-        buf.extend_from_slice(&payload);
-        buf
-    }
-
-    /// Parses wire bytes back into a segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParsePacketError`] when either header is malformed or a
-    /// checksum fails.
-    pub fn parse(data: &[u8]) -> Result<Packet, ParsePacketError> {
-        let ip = Ipv4Header::decode(data).map_err(ParsePacketError)?;
-        let tcp_bytes = &data[IPV4_HEADER_LEN..];
-        let tcp = TcpHeader::decode(tcp_bytes, ip.src, ip.dst).map_err(ParsePacketError)?;
-        let payload_len = (usize::from(ip.total_len) - IPV4_HEADER_LEN - TCP_HEADER_LEN) as u16;
-        Ok(Packet {
-            flow: FlowTuple::new(ip.src, tcp.src_port, ip.dst, tcp.dst_port),
-            seq: tcp.seq,
-            ack: tcp.ack,
-            flags: TcpFlags(tcp.flags),
-            payload_len,
-            wnd: tcp.window,
-        })
-    }
 }
 
 impl std::fmt::Display for Packet {
@@ -248,43 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip() {
-        let p = Packet::new(flow(), TcpFlags::SYN | TcpFlags::ACK)
-            .with_seq(123)
-            .with_ack(456)
-            .with_payload(600);
-        let wire = p.to_wire();
-        assert_eq!(Packet::parse(&wire).unwrap(), p);
-    }
-
-    #[test]
-    fn wire_round_trip_keeps_window_and_ecn_bits() {
-        let p = Packet::new(flow(), TcpFlags::ACK | TcpFlags::ECE)
-            .with_seq(1)
-            .with_ack(2)
-            .with_wnd(12_345);
-        let wire = p.to_wire();
-        assert_eq!(Packet::parse(&wire).unwrap(), p);
-        let marked = Packet::new(flow(), TcpFlags::ACK | TcpFlags::CE).with_payload(1_448);
-        assert_eq!(Packet::parse(&marked.to_wire()).unwrap(), marked);
-        assert!(marked.to_string().contains("CE"));
-    }
-
-    #[test]
     fn seq_len_counts_syn_fin_and_payload() {
         let f = flow();
         assert_eq!(Packet::new(f, TcpFlags::SYN).seq_len(), 1);
         assert_eq!(Packet::new(f, TcpFlags::ACK).seq_len(), 0);
         assert_eq!(Packet::new(f, TcpFlags::FIN).with_payload(10).seq_len(), 11);
         assert_eq!(Packet::new(f, TcpFlags::SYN | TcpFlags::FIN).seq_len(), 2);
-    }
-
-    #[test]
-    fn parse_rejects_corruption() {
-        let p = Packet::new(flow(), TcpFlags::ACK).with_payload(8);
-        let mut raw = p.to_wire().to_vec();
-        raw[IPV4_HEADER_LEN + 4] ^= 0x40; // flip a seq bit
-        assert!(Packet::parse(&raw).is_err());
     }
 
     #[test]
@@ -296,6 +204,8 @@ mod tests {
         assert!(!f.contains(TcpFlags::SYN | TcpFlags::FIN));
         assert_eq!(f.to_string(), "SYN|ACK");
         assert_eq!(TcpFlags::NONE.to_string(), "-");
+        let marked = Packet::new(flow(), TcpFlags::ACK | TcpFlags::CE).with_payload(1_448);
+        assert!(marked.to_string().contains("CE"));
     }
 
     #[test]

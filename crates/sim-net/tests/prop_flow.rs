@@ -1,5 +1,4 @@
-//! Property tests for the wire formats: arbitrary packets round-trip
-//! through real header bytes, and corruption never parses.
+//! Property tests for flow tuples and segment sequence length.
 
 use proptest::prelude::*;
 use sim_net::{FlowTuple, Packet, TcpFlags};
@@ -30,25 +29,6 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
 }
 
 proptest! {
-    #[test]
-    fn wire_round_trip(pkt in arb_packet()) {
-        let wire = pkt.to_wire();
-        let parsed = Packet::parse(&wire).unwrap();
-        prop_assert_eq!(parsed, pkt);
-    }
-
-    #[test]
-    fn corrupted_wire_never_parses_silently(pkt in arb_packet(), byte in 0usize..40, bit in 0u8..8) {
-        let mut wire = pkt.to_wire().to_vec();
-        let idx = byte % wire.len();
-        wire[idx] ^= 1 << bit;
-        // Either the parse fails (checksum) or — if the flip hit a
-        // pure-payload byte, which the checksum still covers — it must
-        // still fail. Headers and payload are both checksummed, so any
-        // single-bit flip is detected.
-        prop_assert!(Packet::parse(&wire).is_err());
-    }
-
     #[test]
     fn reversed_is_involution(flow in arb_flow()) {
         prop_assert_eq!(flow.reversed().reversed(), flow);

@@ -16,12 +16,12 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-# Every target of the root package and the first-party crates: tests,
-# examples and criterion benches too. The vendored crates stay at the
-# library-only pass above; their own tests do not follow this lint set.
+# Every target of the root package and the first-party crates: tests
+# and examples too. The vendored crates stay at the library-only pass
+# above; their own tests do not follow this lint set.
 echo "==> cargo clippy --all-targets (first-party) -- -D warnings"
 cargo clippy --workspace --all-targets \
-  --exclude bytes --exclude criterion --exclude proptest --exclude rand \
+  --exclude proptest --exclude rand \
   --exclude serde --exclude serde_derive --exclude serde_json \
   -- -D warnings
 
