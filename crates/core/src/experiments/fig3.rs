@@ -11,17 +11,10 @@
 
 use serde::{Deserialize, Serialize};
 use sim_core::CYCLES_PER_SEC;
+use sim_load::DEFAULT_DIURNAL;
 
 use crate::config::{AppSpec, KernelSpec, SimConfig};
 use crate::sim::Simulation;
-
-/// Diurnal load shape (fraction of peak, one entry per hour 0–23),
-/// shaped like consumer-service traffic: trough before dawn, evening
-/// peak.
-pub const DIURNAL: [f64; 24] = [
-    0.55, 0.45, 0.35, 0.28, 0.25, 0.27, 0.35, 0.50, 0.65, 0.75, 0.80, 0.82, 0.85, 0.82, 0.80, 0.82,
-    0.85, 0.88, 0.95, 1.00, 0.98, 0.90, 0.80, 0.65,
-];
 
 /// One hourly utilization sample.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,7 +64,7 @@ fn run_day(
 ) -> DayTrace {
     let mut hours = Vec::new();
     let concurrency: u32 = u32::from(cores) * 120;
-    for (hour, frac) in DIURNAL.iter().enumerate() {
+    for (hour, frac) in DEFAULT_DIURNAL.iter().enumerate() {
         let offered = peak_cps * frac;
         // Closed-loop pacing: each of C slots completes one connection
         // per (latency + think); pick think so C/(latency+think) ==

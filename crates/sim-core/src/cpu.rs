@@ -165,7 +165,6 @@ pub struct Span {
 struct Core {
     busy_until: Cycles,
     busy_cycles: Cycles,
-    window_busy: Cycles,
     by_class: [Cycles; CycleClass::COUNT],
 }
 
@@ -203,7 +202,6 @@ impl Cpu {
         let end = start + sheet.total();
         c.busy_until = end;
         c.busy_cycles += sheet.total();
-        c.window_busy += sheet.total();
         for i in 0..CycleClass::COUNT {
             c.by_class[i] += sheet.by_class[i];
         }
@@ -220,20 +218,6 @@ impl Cpu {
         self.cores[core.index()].busy_cycles
     }
 
-    /// Busy cycles on `core` since the last [`Cpu::take_window`] call.
-    pub fn window_busy(&self, core: CoreId) -> Cycles {
-        self.cores[core.index()].window_busy
-    }
-
-    /// Returns each core's busy cycles since the last call, then resets
-    /// the window counters. Used for windowed utilization (Figure 3).
-    pub fn take_window(&mut self) -> Vec<Cycles> {
-        self.cores
-            .iter_mut()
-            .map(|c| std::mem::take(&mut c.window_busy))
-            .collect()
-    }
-
     /// Cycles attributed to `class` on `core`.
     pub fn class_cycles(&self, core: CoreId, class: CycleClass) -> Cycles {
         self.cores[core.index()].by_class[class as usize]
@@ -247,21 +231,6 @@ impl Cpu {
     /// Total busy cycles summed over all cores.
     pub fn busy_cycles_total(&self) -> Cycles {
         self.cores.iter().map(|c| c.busy_cycles).sum()
-    }
-
-    /// Per-core utilization over `[window_start, now]` as fractions,
-    /// using the lifetime busy counters (callers must snapshot).
-    pub fn utilization(&self, elapsed: Cycles) -> Vec<f64> {
-        self.cores
-            .iter()
-            .map(|c| {
-                if elapsed == 0 {
-                    0.0
-                } else {
-                    c.busy_cycles as f64 / elapsed as f64
-                }
-            })
-            .collect()
     }
 }
 
@@ -320,26 +289,6 @@ mod tests {
         assert_eq!(cpu.class_cycles(CoreId(0), CycleClass::Vfs), 60);
         assert_eq!(cpu.class_cycles_total(CycleClass::LockSpin), 140);
         assert_eq!(cpu.busy_cycles_total(), 200);
-    }
-
-    #[test]
-    fn window_counters_reset() {
-        let mut cpu = Cpu::new(2);
-        cpu.execute(CoreId(0), 0, &sheet(100));
-        cpu.execute(CoreId(1), 0, &sheet(40));
-        assert_eq!(cpu.take_window(), vec![100, 40]);
-        assert_eq!(cpu.take_window(), vec![0, 0]);
-        // Lifetime counters are unaffected by windows.
-        assert_eq!(cpu.busy_cycles(CoreId(0)), 100);
-    }
-
-    #[test]
-    fn utilization_fractions() {
-        let mut cpu = Cpu::new(2);
-        cpu.execute(CoreId(0), 0, &sheet(500));
-        let u = cpu.utilization(1_000);
-        assert!((u[0] - 0.5).abs() < 1e-12);
-        assert_eq!(u[1], 0.0);
     }
 
     #[test]

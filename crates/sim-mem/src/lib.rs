@@ -202,7 +202,7 @@ struct Obj {
     gen: u64,
 }
 
-/// Per-kind and global access statistics.
+/// Aggregate access statistics.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Tracked accesses.
@@ -249,7 +249,6 @@ pub struct CacheModel {
     costs: CacheCosts,
     footprint: u64,
     global: CacheStats,
-    by_kind: [CacheStats; ObjKind::COUNT],
 }
 
 impl CacheModel {
@@ -261,7 +260,6 @@ impl CacheModel {
             costs,
             footprint: 0,
             global: CacheStats::default(),
-            by_kind: [CacheStats::default(); ObjKind::COUNT],
         }
     }
 
@@ -329,10 +327,6 @@ impl CacheModel {
         g.accesses += 1;
         g.remote += remote as u64;
         g.l3_misses += l3_miss as u64;
-        let k = &mut self.by_kind[obj.kind as usize];
-        k.accesses += 1;
-        k.remote += remote as u64;
-        k.l3_misses += l3_miss as u64;
 
         Access {
             cost,
@@ -361,11 +355,6 @@ impl CacheModel {
         self.global
     }
 
-    /// Statistics for one object kind.
-    pub fn kind_stats(&self, kind: ObjKind) -> CacheStats {
-        self.by_kind[kind as usize]
-    }
-
     /// Current live footprint in bytes.
     pub fn footprint(&self) -> u64 {
         self.footprint
@@ -374,7 +363,6 @@ impl CacheModel {
     /// Resets statistics (e.g. after warmup), keeping objects.
     pub fn reset_stats(&mut self) {
         self.global = CacheStats::default();
-        self.by_kind = [CacheStats::default(); ObjKind::COUNT];
     }
 }
 
@@ -472,19 +460,6 @@ mod tests {
         for b in ballast {
             m.free(b);
         }
-    }
-
-    #[test]
-    fn per_kind_stats_are_separate() {
-        let (mut m, mut rng) = model();
-        let t = m.alloc(ObjKind::Tcb, CoreId(0));
-        let d = m.alloc(ObjKind::Dentry, CoreId(0));
-        m.access(t, CoreId(0), &mut rng);
-        m.access(t, CoreId(0), &mut rng);
-        m.access(d, CoreId(0), &mut rng);
-        assert_eq!(m.kind_stats(ObjKind::Tcb).accesses, 2);
-        assert_eq!(m.kind_stats(ObjKind::Dentry).accesses, 1);
-        assert_eq!(m.stats().accesses, 3);
     }
 
     #[test]

@@ -121,12 +121,6 @@ pub struct StackConfig {
     /// matters). Doubles per retry up to [`MAX_RTO_BACKOFF_SHIFT`]
     /// doublings, as Linux's exponential backoff does.
     pub rto: Cycles,
-    /// Maximum doublings of the base RTO under exponential backoff: the
-    /// retry timeout is capped at `rto << rto_backoff_shift`, mirroring
-    /// Linux's `TCP_RTO_MAX` clamp. Defaults to
-    /// [`MAX_RTO_BACKOFF_SHIFT`]; long fault schedules lower it so a
-    /// backed-off retry cannot overshoot the simulated window.
-    pub rto_backoff_shift: u8,
     /// Post an epoll error event (readable, like `EPOLLERR`) to the
     /// owning process when an established or connecting socket is torn
     /// down by a peer RST or by retransmission abandonment. Off by
@@ -179,7 +173,6 @@ impl StackConfig {
             syscall_batching: false,
             zero_copy: false,
             rto: 13_500_000, // 5 ms at 2.7 GHz
-            rto_backoff_shift: MAX_RTO_BACKOFF_SHIFT,
             err_events: false,
             tcb_cap: None,
             fault: FaultInjection::None,
@@ -284,10 +277,9 @@ pub struct RxOutcome {
 /// (Linux's `tcp_retries2`-style bound).
 pub const MAX_RTX_ATTEMPTS: u8 = 8;
 
-/// Default maximum doublings of the base RTO under exponential backoff
-/// (the retry timeout is capped at `rto << rto_backoff_shift`,
-/// mirroring Linux's `TCP_RTO_MAX` clamp); configurable via
-/// `StackConfig::rto_backoff_shift`.
+/// Maximum doublings of the base RTO under exponential backoff (the
+/// retry timeout is capped at `rto << MAX_RTO_BACKOFF_SHIFT`, mirroring
+/// Linux's `TCP_RTO_MAX` clamp).
 pub const MAX_RTO_BACKOFF_SHIFT: u8 = 6;
 
 /// `epoll_wait` scan cycles per 1024 *modeled* watched fds, armed by
@@ -692,9 +684,9 @@ impl TcpStack {
 
     /// The backed-off retransmission timeout after `attempts` RTO
     /// firings: doubles per retry, capped at
-    /// `rto << config.rto_backoff_shift`.
+    /// `rto << MAX_RTO_BACKOFF_SHIFT`.
     fn rto_after(&self, attempts: u8) -> Cycles {
-        self.config.rto << attempts.min(self.config.rto_backoff_shift)
+        self.config.rto << attempts.min(MAX_RTO_BACKOFF_SHIFT)
     }
 
     /// Retransmission timeout for `sock` (if still live and matching

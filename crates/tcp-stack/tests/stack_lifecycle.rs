@@ -417,41 +417,6 @@ fn rto_backs_off_exponentially_and_still_aborts() {
 }
 
 #[test]
-fn rto_backoff_ceiling_is_configurable() {
-    // A lowered `rto_backoff_shift` clamps the doubling earlier — long
-    // fault schedules use this so a connection's retry timeline cannot
-    // overshoot the simulated window.
-    let mut config = StackConfig::fastsocket(2);
-    config.rto_backoff_shift = 2;
-    let mut rig = Rig::new(config);
-    rig.listen_all();
-    let mut c = Client::new(48_700);
-    rig.rx(CoreId(0), c.syn());
-    let rto = rig.stack.config().rto;
-    let (mut sock, mut gen, _) = rig.stack.take_rto_arms()[0];
-    let mut delays = Vec::new();
-    while rig
-        .stack
-        .on_rto(&mut rig.ctx, &mut rig.os, sock, gen)
-        .is_some()
-    {
-        let arms = rig.stack.take_rto_arms();
-        assert_eq!(arms.len(), 1);
-        let (s, g, d) = arms[0];
-        delays.push(d);
-        sock = s;
-        gen = g;
-    }
-    let expected: Vec<u64> = (1..=MAX_RTX_ATTEMPTS).map(|a| rto << a.min(2)).collect();
-    assert_eq!(delays, expected, "doubling clamps at rto << 2");
-    assert_eq!(
-        *delays.last().expect("retries ran"),
-        rto << 2,
-        "ceiling honored to abandonment"
-    );
-}
-
-#[test]
 fn fastsocket_slow_path_survives_worker_crash() {
     // Figure 2 steps (7), (11), (12): the local listen socket of core 1
     // is destroyed (its process died); a SYN delivered to core 1 must
