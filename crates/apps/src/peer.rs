@@ -365,7 +365,17 @@ impl ClientSlot {
                             if self.hold {
                                 // Long-lived: park with the connection
                                 // open; the driver sends the FIN when
-                                // the hold expires.
+                                // the hold expires. ACK the response
+                                // first (the bulk path just did), or
+                                // the server's RTO resends it for the
+                                // whole hold.
+                                if self.bulk.is_none() {
+                                    out.push(
+                                        Packet::new(self.flow, TcpFlags::ACK)
+                                            .with_seq(self.snd_nxt)
+                                            .with_ack(self.rcv_nxt),
+                                    );
+                                }
                                 self.hold_started = true;
                                 self.state = ClientState::Holding;
                                 return false;
@@ -410,6 +420,16 @@ impl ClientSlot {
                 }
             }
             ClientState::Holding => {
+                if pkt.seq_len() > 0 && pkt.seq != self.rcv_nxt {
+                    // A retransmitted response: our ACK was lost —
+                    // re-ACK it and stay parked.
+                    out.push(
+                        Packet::new(self.flow, TcpFlags::ACK)
+                            .with_seq(self.snd_nxt)
+                            .with_ack(self.rcv_nxt),
+                    );
+                    return false;
+                }
                 if pkt.flags.fin() {
                     // The server closed under our hold (shutdown or an
                     // orphan kill): FIN back and finish normally.
@@ -790,13 +810,20 @@ mod tests {
         assert!(!slot.on_packet(&synack, &mut out));
         out.clear();
 
-        // Last response arrives: the slot parks instead of closing.
+        // Last response arrives: the slot ACKs it and parks instead of
+        // closing.
         let resp = Packet::new(rev, TcpFlags::PSH | TcpFlags::ACK)
             .with_seq(501)
             .with_ack(701)
             .with_payload(1_200);
         assert!(!slot.on_packet(&resp, &mut out));
-        assert!(out.is_empty(), "parked: no FIN on the wire yet");
+        assert_eq!(out.len(), 1, "parked: one pure ACK, no FIN yet");
+        assert!(!out[0].flags.fin() && out[0].flags.ack());
+        assert_eq!(
+            (out[0].seq, out[0].ack, out[0].payload_len),
+            (701, 1_701, 0)
+        );
+        out.clear();
         assert!(slot.take_hold_started());
         assert!(!slot.take_hold_started(), "edge-triggered");
         assert!(!slot.idle(), "the connection is still open");
@@ -815,6 +842,48 @@ mod tests {
         assert!(slot.on_packet(&fin, &mut out));
         assert_eq!(slot.completed, 1);
         assert!(slot.idle());
+    }
+
+    #[test]
+    fn retransmitted_response_during_hold_is_reacked() {
+        let mut slot = ClientSlot::new(CLIENT, SERVER, 80, 600, 1);
+        slot.set_session(1, true);
+        slot.set_hold(true);
+        let syn = slot.start(100);
+        let rev = syn.flow.reversed();
+        let mut out = Vec::new();
+        slot.on_packet(
+            &Packet::new(rev, TcpFlags::SYN | TcpFlags::ACK)
+                .with_seq(500)
+                .with_ack(101),
+            &mut out,
+        );
+        let resp = Packet::new(rev, TcpFlags::PSH | TcpFlags::ACK)
+            .with_seq(501)
+            .with_ack(701)
+            .with_payload(1_200);
+        slot.on_packet(&resp, &mut out);
+        assert!(slot.take_hold_started());
+
+        // The server's RTO resends the response (our ACK was lost):
+        // one pure ACK at the unchanged cumulative point, still parked.
+        out.clear();
+        assert!(!slot.on_packet(&resp, &mut out));
+        assert_eq!(out.len(), 1);
+        assert!(!out[0].flags.fin() && out[0].flags.ack());
+        assert_eq!(
+            (out[0].seq, out[0].ack, out[0].payload_len),
+            (701, 1_701, 0)
+        );
+        assert!(!slot.take_hold_started(), "no second hold");
+        assert_eq!(slot.responses, 1, "the duplicate is not a response");
+
+        // The hold still ends with our FIN.
+        out.clear();
+        assert!(slot.release_hold(&mut out));
+        assert_eq!(out.len(), 1);
+        assert!(out[0].flags.fin());
+        assert_eq!(out[0].ack, 1_701);
     }
 
     #[test]

@@ -100,29 +100,36 @@ fn open_cell(rate_cps: f64, seed: u64) -> SimConfig {
         .open_loop(OpenLoopConfig::poisson(rate_cps).population(400))
 }
 
-/// Every modeled output of three open-loop cells: a short-lived web
-/// storm, keep-alive proxy sessions, and a held-session mix on the
-/// stock kernel under the memory ledger. The config hash is blanked
-/// (see [`model_digest`]), so the pins cover the model, not the
-/// spelling of the config.
-#[test]
-fn open_loop_golden_model_digests_are_unchanged() {
-    let window = |cfg: SimConfig| cfg.warmup_secs(0.02).measure_secs(0.08);
-    let mut proxy = window(SimConfig::new(KernelSpec::Fastsocket, AppSpec::proxy(), 2))
-        .open_loop(OpenLoopConfig::poisson(6_000.0).population(300));
-    proxy.workload.requests_per_conn = 3;
-    let held = window(SimConfig::new(KernelSpec::BaseLinux, AppSpec::web(), 2))
+/// Half the sessions hold their connection open for 30 ms after the
+/// last response, on the stock kernel under the memory ledger.
+fn held_mix_cell() -> SimConfig {
+    SimConfig::new(KernelSpec::BaseLinux, AppSpec::web(), 2)
+        .warmup_secs(0.02)
+        .measure_secs(0.08)
         .seed(11)
         .mem(MemConfig::ram_mb(64).scaled(16))
         .open_loop(
             OpenLoopConfig::poisson(20_000.0)
                 .population(800)
                 .longlived(LongLivedMix::fraction_held(0.5, 0.03)),
-        );
+        )
+}
+
+/// Every modeled output of three open-loop cells: a short-lived web
+/// storm, keep-alive proxy sessions, and the held-session mix. The
+/// config hash is blanked (see [`model_digest`]), so the pins cover the
+/// model, not the spelling of the config.
+#[test]
+fn open_loop_golden_model_digests_are_unchanged() {
+    let mut proxy = SimConfig::new(KernelSpec::Fastsocket, AppSpec::proxy(), 2)
+        .warmup_secs(0.02)
+        .measure_secs(0.08)
+        .open_loop(OpenLoopConfig::poisson(6_000.0).population(300));
+    proxy.workload.requests_per_conn = 3;
     let golden: [(&str, SimConfig, &str); 3] = [
         ("fastsocket web", open_cell(30_000.0, 7), "4dd414703f585f06"),
         ("fastsocket proxy keep-alive", proxy, "e6ac8f31455f8153"),
-        ("base web held mix", held, "e42feb25df5a80b0"),
+        ("base web held mix", held_mix_cell(), "e4dfc3f26e9ee10f"),
     ];
     for (label, cfg, report_digest) in golden {
         let r = Simulation::new(cfg).run();
@@ -133,6 +140,18 @@ fn open_loop_golden_model_digests_are_unchanged() {
             "model digest moved: {label}"
         );
     }
+}
+
+/// A held client ACKs the response it parks on, so with no loss
+/// configured the server has nothing to retransmit during the hold.
+#[test]
+fn held_sessions_do_not_retransmit_without_loss() {
+    let r = Simulation::new(held_mix_cell()).run();
+    assert!(r.completed > 0, "the held mix completes sessions");
+    assert_eq!(
+        r.stack.retransmits, 0,
+        "no loss, yet the server retransmitted"
+    );
 }
 
 #[test]
