@@ -254,6 +254,14 @@ impl LaneEnv {
     fn global_slot(&self, local: u32) -> u32 {
         u32::from(self.id) + local * u32::from(self.lanes)
     }
+
+    /// Local index of global client slot `global` — the inverse of
+    /// [`global_slot`](Self::global_slot) — or `None` when another lane
+    /// owns it.
+    fn local_slot(&self, global: u32) -> Option<u32> {
+        let lanes = u32::from(self.lanes);
+        (global % lanes == u32::from(self.id)).then_some(global / lanes)
+    }
 }
 
 /// The mergeable measurement a lane hands back when its windowed run
@@ -303,7 +311,6 @@ pub struct Simulation {
     /// cancelled once the attempt ends or is superseded. Grown as slots
     /// first arm timers, which keeps it out of `Simulation::new`.
     client_timers: Vec<ClientTimers>,
-    client_by_ip: HashMap<Ipv4Addr, u32>,
     backends: Vec<Backend>,
     backend_by_ip: HashMap<Ipv4Addr, usize>,
     events: EventQueue<Ev>,
@@ -333,6 +340,11 @@ pub struct Simulation {
     /// Lane identity within the (possibly 1-lane) sharded machine.
     lane: LaneEnv,
 }
+
+/// Client slots [`client_ip`] can address: second octets 1..=255 of
+/// 250 third octets each. Past it the second octet wraps, and
+/// [`client_slot_of_ip`] no longer inverts the address.
+const MAX_CLIENT_SLOTS: u32 = 255 * 250;
 
 fn client_ip(slot: u32) -> Ipv4Addr {
     Ipv4Addr::new(10, (1 + slot / 250) as u8, (slot % 250) as u8, 2)
@@ -571,11 +583,14 @@ impl Simulation {
         // Peers. Open loop sizes the slot pool from the client
         // population; closed loop from the workload concurrency.
         let n_clients = client_slots(&cfg);
+        assert!(
+            lane.total_slots <= u64::from(MAX_CLIENT_SLOTS),
+            "{} client slots exceed the address plan's {MAX_CLIENT_SLOTS}",
+            lane.total_slots
+        );
         let mut clients = Vec::with_capacity(n_clients as usize);
-        let mut client_by_ip = HashMap::new();
         for s in 0..n_clients {
             let ip = client_ip(lane.global_slot(s));
-            client_by_ip.insert(ip, s);
             let mut slot = ClientSlot::new(
                 ip,
                 SERVER_IP,
@@ -635,7 +650,6 @@ impl Simulation {
             client_attempt: vec![0; n_clients as usize],
             client_hold: vec![0; n_clients as usize],
             client_timers: Vec::new(),
-            client_by_ip,
             backends,
             backend_by_ip,
             events,
@@ -1489,7 +1503,10 @@ impl Simulation {
             }
             return;
         }
-        let Some(&slot) = self.client_by_ip.get(&dst) else {
+        let Some(slot) = client_slot_of_ip(dst)
+            .and_then(|g| self.lane.local_slot(g))
+            .filter(|&s| (s as usize) < self.clients.len())
+        else {
             return; // stray packet to a non-existent peer
         };
         let client = &mut self.clients[slot as usize];

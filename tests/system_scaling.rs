@@ -99,3 +99,13 @@ fn no_connection_failures_under_normal_load() {
         assert!(r.completed > 1_000, "{}: too few completions", r.kernel);
     }
 }
+
+/// Client IPs are `10.(1 + slot / 250).(slot % 250).2`: from slot
+/// 63,750 on the second octet wraps, so a bigger population is refused
+/// rather than misrouted.
+#[test]
+#[should_panic(expected = "exceed the address plan's 63750")]
+fn client_populations_beyond_the_address_plan_are_refused() {
+    let cfg = SimConfig::new(KernelSpec::Fastsocket, AppSpec::web(), 1).concurrency(63_751);
+    let _ = Simulation::new(cfg);
+}
