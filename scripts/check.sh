@@ -34,6 +34,14 @@ cargo test -q --workspace
 echo "==> benchmark tests (BENCHMARK.json vs emitted metrics, smoke checks)"
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
+# Benchmark smoke: every workload in its own child process on a tenth
+# of its windows, with every correctness check armed (repeat digests,
+# traced-vs-untraced equality, held_fs8's ledger balance and 90% peak).
+# Exits 1 on a failed check.
+echo "==> benchmark smoke (all four workloads, checks armed)"
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+  --smoke --seconds 1 --out target/benchmark-smoke
+
 # Bench smoke: self-profile the event core on a short window and hold
 # the timing-wheel's events/sec against the committed baseline. The
 # wide tolerance absorbs machine-to-machine variance (the committed
